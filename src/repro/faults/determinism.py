@@ -8,12 +8,11 @@ That is what makes a failure replayable from its seed alone, and it is a
 real check on the stack (a stray ``random.random()``, dict-order
 dependence, or wall-clock leak breaks it instantly).
 
-The check used to be copy-pasted across the overload, replication, memory,
-and availability campaigns; :func:`verify_double_run` is the one shared
-implementation (the shard campaign uses it too).  The campaign supplies a
-``run(engine, certifier)`` closure over its seed and knobs; the helper
+Every campaign calls :func:`verify_double_run` with a
+``run(engine=…, witness=…)`` callable bound to its seed and knobs; the helper
 builds the live observer pair, runs once, and — when verification is on —
-builds a *fresh* pair, reruns, and compares.
+builds a *fresh* pair, reruns, and compares.  The campaign then hands the
+outcome to :func:`repro.faults.campaign.apply_verdicts`.
 """
 
 from __future__ import annotations
@@ -37,25 +36,23 @@ class DoubleRun:
 
 
 def verify_double_run(
-    run: Callable[[Any | None, Any | None], Any],
+    run: Callable[..., Any],
     *,
     slo: bool = False,
     witness: bool = False,
     make_engine: Callable[[], Any] | None = None,
     verify: bool = True,
-    fingerprint: Callable[[Any], Any] | None = None,
     extra_check: Callable[[], bool] | None = None,
 ) -> DoubleRun:
     """Run a campaign phase, optionally replay it, and compare everything.
 
-    ``run(engine, certifier)`` executes one phase under the given observers
-    and returns its result object; ``make_engine`` builds a fresh SLO
-    engine per run (required when ``slo`` is set — engines accumulate state
-    and must never be shared between the live run and the replay).
-    ``fingerprint`` extracts the comparable summary from a result (default:
-    its ``fingerprint()`` method).  ``extra_check`` is a campaign-specific
-    continuation evaluated only if everything else matched — e.g. the
-    availability campaign's crash-point resweep.
+    ``run(engine=…, witness=…)`` executes one phase under the given
+    observers and returns its result object; ``make_engine`` builds a fresh
+    SLO engine per run (required when ``slo`` is set — engines accumulate
+    state and must never be shared between the live run and the replay).
+    ``extra_check`` is a campaign-specific continuation evaluated only if
+    everything else matched — e.g. the availability campaign's crash-point
+    resweep.
 
     Comparison is three-deep, mirroring what the drill later prints:
     phase fingerprints, then full SLO reports, then witness reports.
@@ -64,17 +61,16 @@ def verify_double_run(
 
     if slo and make_engine is None:
         raise ValueError("slo=True requires a make_engine factory")
-    take = fingerprint if fingerprint is not None else lambda r: r.fingerprint()
 
     engine = make_engine() if slo else None
     certifier = WitnessEngine(seal=True) if witness else None
-    result = run(engine, certifier)
+    result = run(engine=engine, witness=certifier)
     deterministic = True
     if verify:
         replay_engine = make_engine() if slo else None
         replay_certifier = WitnessEngine(seal=True) if witness else None
-        replay = run(replay_engine, replay_certifier)
-        deterministic = take(replay) == take(result)
+        replay = run(engine=replay_engine, witness=replay_certifier)
+        deterministic = replay.fingerprint() == result.fingerprint()
         if deterministic and engine is not None:
             deterministic = replay_engine.report() == engine.report()
         if deterministic and certifier is not None:

@@ -25,17 +25,28 @@ could actually break.
 from __future__ import annotations
 
 import argparse
-import sys
-
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.distributed.database import DistributedVCDatabase
 from repro.distributed.dmv2pl import DistributedMV2PL
 from repro.errors import ProtocolError, TransactionAborted
+from repro.faults.campaign import (
+    Campaign,
+    CampaignReport,
+    apply_verdicts,
+    fields_of,
+    run_cli,
+    slo_engine,
+)
 from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.invariants import FaultInvariantChecker
-from repro.faults.schedule import DEFAULT_SPEC, FaultSchedule, FaultSpec
+from repro.faults.schedule import (
+    DEFAULT_SPEC,
+    REPLICATION_SPEC,
+    FaultSchedule,
+    FaultSpec,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
@@ -43,12 +54,11 @@ from repro.sim.random_streams import RandomStreams
 PROTOCOLS = ("dvc", "dmv2pl")
 
 
-@dataclass
-class DrillReport:
+@dataclass(kw_only=True)
+class DrillReport(CampaignReport):
     """Outcome of one seeded drill."""
 
     protocol: str
-    seed: int
     duration: float
     commits: int = 0
     aborts: int = 0
@@ -56,36 +66,27 @@ class DrillReport:
     crashes: int = 0
     messages: int = 0
     faults: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    wedged: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None unless
-    #: the drill ran with ``slo=True``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: unless the drill ran with ``witness=True``.
-    witness: dict[str, Any] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.wedged
+    def line(self) -> str:
+        return f"{self.protocol:7s} {super().line()}"
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "duration": self.duration,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "ro_commits": self.ro_commits,
-            "crashes": self.crashes,
-            "messages": self.messages,
-            "faults": dict(self.faults),
-            "violations": list(self.violations),
-            "wedged": list(self.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
-        }
+    def label(self) -> str:
+        return f"{self.protocol} {super().label()}"
+
+    def details(self) -> dict[str, Any]:
+        return fields_of(
+            self,
+            "protocol seed duration commits aborts ro_commits crashes messages faults",
+        )
+
+    def summary(self) -> str:
+        faults = self.faults
+        return (
+            f"commits={self.commits:<4d} aborts={self.aborts:<3d} "
+            f"crashes={self.crashes:<2d} drops={faults.get('drops', 0):<3d} "
+            f"dups={faults.get('duplicates', 0):<3d} "
+            f"parked={faults.get('partition_deferrals', 0)}"
+        ) + self.tags()
 
 
 def run_drill(
@@ -142,30 +143,24 @@ def run_drill(
         readers = 0  # RO anomaly is the paper result, not a fault bug
     from repro.obs.instrument import attach_tracer
 
-    engine = None
+    engine = certifier = None
     if slo:
-        from repro.obs.slo import FlightRecorder, SLOEngine, faults_objectives
+        from repro.obs.slo import faults_objectives
 
-        engine = SLOEngine(
-            faults_objectives(),
-            window=duration / 16.0,
-            recorder=FlightRecorder(capacity=8192),
-        )
-        if tracer.enabled:
-            tracer.add_exporter(engine)
-        else:
-            # NULL_TRACER is shared and immutable: give the watchdogs
-            # their own private tracer instead.
-            tracer = Tracer(exporters=[engine])
-    certifier = None
+        engine = slo_engine(faults_objectives(), duration, recorder=8192)
     if witness:
         from repro.obs.witness import WitnessEngine
 
         certifier = WitnessEngine(seal=True)
+    for observer in (engine, certifier):
+        if observer is None:
+            continue
         if tracer.enabled:
-            tracer.add_exporter(certifier)
+            tracer.add_exporter(observer)
         else:
-            tracer = Tracer(exporters=[certifier])
+            # NULL_TRACER is shared and immutable: give the observers
+            # their own private tracer instead.
+            tracer = Tracer(exporters=[observer])
     if tracer.enabled:
         tracer.clock = lambda: sim.now  # fault timelines in virtual time
     instrumentation = attach_tracer(db, tracer)
@@ -241,21 +236,11 @@ def run_drill(
     report.violations = list(checker.violations)
     report.messages = courier.delivered
     report.faults = schedule.counts.as_dict()
-    if engine is not None:
-        engine.finish()
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-        tracer.remove_exporter(engine)
-    if certifier is not None:
-        certifier.finish()
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
-        tracer.remove_exporter(certifier)
+    for observer in (engine, certifier):
+        if observer is not None:
+            observer.finish()
+            tracer.remove_exporter(observer)
+    apply_verdicts(report, engine, certifier)
     if tracer.enabled:
         tracer.emit(
             "fault.drill.done",
@@ -274,490 +259,166 @@ def run_campaign(
     protocols: tuple[str, ...] | list[str] = PROTOCOLS,
     seeds: int = 20,
     seed_base: int = 0,
-    *,
-    progress: Callable[[DrillReport], None] | None = None,
     **drill_kwargs: Any,
 ) -> list[DrillReport]:
     """Run ``seeds`` drills per protocol; returns every report."""
     reports: list[DrillReport] = []
     for protocol in protocols:
         for offset in range(seeds):
-            report = run_drill(protocol, seed_base + offset, **drill_kwargs)
-            reports.append(report)
-            if progress is not None:
-                progress(report)
+            reports.append(run_drill(protocol, seed_base + offset, **drill_kwargs))
     return reports
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro drill`` — seeded fault campaigns with a verdict."""
-    parser = argparse.ArgumentParser(
-        prog="repro drill",
-        description="Run seeded fault-injection drills over the distributed "
-        "protocols and check the paper's invariants.",
-    )
-    parser.add_argument(
-        "--campaign",
-        choices=(
-            "faults", "overload", "replication", "memory", "availability",
-            "shard",
-        ),
-        default="faults",
-        help="faults: network faults + crashes over the distributed "
-        "protocols; overload: QoS overload campaign (admission shedding, "
-        "deadlines, read-only fast-path guarantee) — see repro.qos.overload; "
-        "replication: WAL-shipped replica tier under lossy/partitioned "
-        "shipping with a primary fail-over — see repro.replica.campaign; "
-        "memory: bounded-GC memory-pressure campaign (snapshot leases, "
-        "oldest-first revocation, SnapshotTooOld retries) — see "
-        "repro.qos.memory; availability: quorum-mode self-healing drill "
-        "(partition the primary, automatic fail-over, RPO=0, split-brain "
-        "fencing, crash-point sweep) — see repro.replica.availability; "
-        "shard: hash-sharded multi-primary drill (partition one shard, "
-        "fail it over mid-batch, certify 1SR + snapshot-vector consistency "
-        "+ determinism + fail-over isolation) — see repro.shard.campaign",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=("fifo", "lifo-shed", "priority"),
-        default="fifo",
-        help="admission shedding policy (overload campaign only)",
-    )
-    parser.add_argument(
-        "--protocol",
-        choices=(*PROTOCOLS, "both"),
-        default="both",
-        help="which distributed protocol to drill (default: both)",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=20, help="number of seeds per protocol"
-    )
-    parser.add_argument(
-        "--seed-base", type=int, default=0, help="first master seed"
-    )
-    parser.add_argument(
-        "--duration", type=float, default=300.0, help="virtual time per drill"
-    )
-    parser.add_argument("--sites", type=int, default=3, help="sites per database")
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=3,
-        help="replica count (replication campaign only)",
-    )
-    parser.add_argument(
-        "--no-promote",
-        action="store_true",
-        help="skip the mid-run primary fail-over (replication campaign only)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("async", "quorum"),
-        default="async",
-        help="replication durability mode (replication campaign only): "
-        "async acknowledges at the local force (RPO = lag), quorum at "
-        "majority durability (RPO = 0)",
-    )
-    parser.add_argument(
-        "--drop", type=float, default=DEFAULT_SPEC.drop, help="drop probability"
-    )
-    parser.add_argument(
-        "--duplicate",
-        type=float,
-        default=DEFAULT_SPEC.duplicate,
-        help="duplicate probability",
-    )
-    parser.add_argument(
-        "--delay-spike",
-        type=float,
-        default=DEFAULT_SPEC.delay_spike,
-        help="delay-spike probability",
-    )
-    parser.add_argument(
-        "--crash-mean",
-        type=float,
-        default=90.0,
-        help="mean virtual time between site crash-restarts (0 disables)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write every fault event as JSONL to PATH",
-    )
-    parser.add_argument(
-        "--slo",
-        action="store_true",
-        help="run the online SLO watchdogs (faults profile) alongside each "
-        "drill; an unexpected breach fails the drill",
-    )
-    parser.add_argument(
-        "--witness",
-        action="store_true",
-        help="certify each drill's history stream online with the sealing "
-        "serializability witness; an MVSG cycle fails the drill "
-        "(see docs/witness.md)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="only print the final verdict"
-    )
-    args = parser.parse_args(argv)
-
-    if args.campaign == "overload":
-        return _overload_main(args)
-    if args.campaign == "replication":
-        return _replication_main(args)
-    if args.campaign == "memory":
-        return _memory_main(args)
-    if args.campaign == "availability":
-        return _availability_main(args)
-    if args.campaign == "shard":
-        return _shard_main(args)
-
+def _protocol_sweeps(args: argparse.Namespace) -> list[argparse.Namespace]:
     protocols = PROTOCOLS if args.protocol == "both" else (args.protocol,)
-    spec = FaultSpec(
+    return [argparse.Namespace(**{**vars(args), "protocol": p}) for p in protocols]
+
+
+def _spec_flags(spec: FaultSpec) -> dict[str, float]:
+    return dict(drop=spec.drop, duplicate=spec.duplicate, delay_spike=spec.delay_spike)
+
+
+def _spec(args: argparse.Namespace) -> FaultSpec:
+    return FaultSpec(
         drop=args.drop, duplicate=args.duplicate, delay_spike=args.delay_spike
     )
-    tracer: Tracer = NULL_TRACER
-    if args.trace:
-        from repro.obs.exporters import JsonlExporter
-
-        tracer = Tracer(exporters=[JsonlExporter(args.trace)])
-
-    def progress(report: DrillReport) -> None:
-        if args.quiet:
-            return
-        verdict = "ok" if report.ok else "FAIL"
-        faults = report.faults
-        print(
-            f"  {report.protocol:7s} seed={report.seed:<4d} {verdict:4s} "
-            f"commits={report.commits:<4d} aborts={report.aborts:<3d} "
-            f"crashes={report.crashes:<2d} drops={faults.get('drops', 0):<3d} "
-            f"dups={faults.get('duplicates', 0):<3d} "
-            f"parked={faults.get('partition_deferrals', 0)}"
-            + (
-                f" slo={'ok' if report.slo['ok'] else 'BREACH'}"
-                if report.slo is not None
-                else ""
-            )
-            + (
-                f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-                if report.witness is not None
-                else ""
-            )
-        )
-
-    print(
-        f"fault drill: protocols={','.join(protocols)} seeds={args.seeds} "
-        f"spec=(drop={spec.drop}, dup={spec.duplicate}, spike={spec.delay_spike}) "
-        f"crash_mean={args.crash_mean or 'off'}"
-    )
-    reports = run_campaign(
-        protocols,
-        seeds=args.seeds,
-        seed_base=args.seed_base,
-        duration=args.duration,
-        n_sites=args.sites,
-        spec=spec,
-        crash_mean=args.crash_mean or None,
-        tracer=tracer,
-        slo=args.slo,
-        witness=args.witness,
-        progress=progress,
-    )
-    tracer.close()
-
-    failed = [r for r in reports if not r.ok]
-    total_commits = sum(r.commits for r in reports)
-    total_faults = sum(sum(r.faults.values()) for r in reports)
-    print(
-        f"{len(reports)} drills, {total_commits} commits, "
-        f"{total_faults} injected faults, {len(failed)} failed"
-    )
-    for report in failed:
-        print(f"FAILED {report.protocol} seed={report.seed}:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  violation: {violation}", file=sys.stderr)
-        for name in report.wedged:
-            print(f"  wedged process: {name}", file=sys.stderr)
-        print(
-            f"  replay: python -m repro drill --protocol {report.protocol} "
-            f"--seeds 1 --seed-base {report.seed}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
 
 
-def _overload_main(args: argparse.Namespace) -> int:
-    """``python -m repro drill --campaign overload`` — the QoS drill."""
-    from repro.qos.overload import run_overload_campaign
-
-    print(
-        f"overload campaign: seeds={args.seeds} policy={args.policy} "
-        f"duration={args.duration}"
-    )
-    failed = []
-    for offset in range(args.seeds):
-        seed = args.seed_base + offset
-        report = run_overload_campaign(
-            seed, duration=args.duration, policy=args.policy
-        )
-        if not report.ok:
-            failed.append(report)
-        if not args.quiet:
-            verdict = "ok" if report.ok else "FAIL"
-            print(
-                f"  seed={seed:<4d} {verdict:4s} "
-                f"shed={report.shed_rate:<7.2%} "
-                f"miss={report.deadline_miss_rate:<7.2%} "
-                f"ro_p99x={report.ro_p99_ratio:<5.2f} "
-                f"rw_commits={report.overload.rw_commits:<5d} "
-                f"ro_commits={report.overload.ro_commits}"
-                + (
-                    f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-                    if report.witness is not None
-                    else ""
-                )
-            )
-    print(f"{args.seeds} campaigns, {len(failed)} failed")
-    for report in failed:
-        print(f"FAILED seed={report.seed}:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  violation: {violation}", file=sys.stderr)
-        print(
-            f"  replay: python -m repro drill --campaign overload "
-            f"--seeds 1 --seed-base {report.seed} --policy {args.policy}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
+def _spec_text(args: argparse.Namespace) -> str:
+    return f"spec=(drop={args.drop}, dup={args.duplicate}, spike={args.delay_spike})"
 
 
-def _memory_main(args: argparse.Namespace) -> int:
-    """``python -m repro drill --campaign memory`` — the bounded-GC drill."""
-    from repro.qos.memory import run_memory_campaign
-
-    print(
-        f"memory campaign: seeds={args.seeds} duration={args.duration}"
-    )
-    failed = []
-    for offset in range(args.seeds):
-        seed = args.seed_base + offset
-        report = run_memory_campaign(seed, duration=args.duration)
-        if not report.ok:
-            failed.append(report)
-        if not args.quiet:
-            verdict = "ok" if report.ok else "FAIL"
-            stats = report.stats
-            print(
-                f"  seed={seed:<4d} {verdict:4s} "
-                f"peak={stats.peak_live:<4d} (bound {report.live_bound}) "
-                f"revoked={len(stats.revocations):<3d} "
-                f"too_old={stats.too_old_total:<3d} "
-                f"scans={stats.scan_commits:<3d} "
-                f"ro={stats.ro_commits:<4d} rw={stats.rw_commits:<4d} "
-                f"shed={stats.rw_shed}"
-                + (
-                    f" slo={'ok' if report.slo['ok'] else 'BREACH'}"
-                    if report.slo is not None
-                    else ""
-                )
-                + (
-                    f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-                    f" (peak {report.witness['peak_tracked']})"
-                    if report.witness is not None
-                    else ""
-                )
-            )
-    print(f"{args.seeds} campaigns, {len(failed)} failed")
-    for report in failed:
-        print(f"FAILED seed={report.seed}:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  violation: {violation}", file=sys.stderr)
-        print(
-            f"  replay: python -m repro drill --campaign memory "
-            f"--seeds 1 --seed-base {report.seed}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
+def _fault_totals(reports: list[DrillReport]) -> str:
+    commits = sum(r.commits for r in reports)
+    faults = sum(sum(r.faults.values()) for r in reports)
+    return f"{len(reports)} drills, {commits} commits, {faults} injected faults"
 
 
-def _replication_main(args: argparse.Namespace) -> int:
-    """``python -m repro drill --campaign replication`` — the replica drill."""
-    from repro.replica.campaign import REPLICATION_SPEC, run_replication_campaign
-
-    spec = FaultSpec(
-        drop=args.drop if args.drop != DEFAULT_SPEC.drop else REPLICATION_SPEC.drop,
-        duplicate=args.duplicate
-        if args.duplicate != DEFAULT_SPEC.duplicate
-        else REPLICATION_SPEC.duplicate,
-        delay_spike=args.delay_spike
-        if args.delay_spike != DEFAULT_SPEC.delay_spike
-        else REPLICATION_SPEC.delay_spike,
-    )
-    promote = not args.no_promote
-    print(
-        f"replication campaign: seeds={args.seeds} replicas={args.replicas} "
-        f"duration={args.duration} mode={args.mode} spec=(drop={spec.drop}, "
-        f"dup={spec.duplicate}, spike={spec.delay_spike}) promote={promote}"
-    )
-    failed = []
-    for offset in range(args.seeds):
-        seed = args.seed_base + offset
-        report = run_replication_campaign(
-            seed,
-            duration=args.duration,
-            n_replicas=args.replicas,
-            spec=spec,
-            mode=args.mode,
-            promote=promote,
-        )
-        if not report.ok:
-            failed.append(report)
-        if not args.quiet:
-            verdict = "ok" if report.ok else "FAIL"
-            phase = report.phase
-            print(
-                f"  seed={seed:<4d} {verdict:4s} "
-                f"rw={phase.rw_commits:<4d} ro={phase.ro_commits:<5d} "
-                f"lag_max={phase.max_lag_txns:<3d} "
-                f"redirects={phase.ro_redirects:<4d} "
-                f"promoted=r{phase.promoted_replica or '-'} "
-                f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
-                f"drops={report.faults.get('drops', 0):<3d} "
-                f"parked={report.faults.get('partition_deferrals', 0)}"
-                + (
-                    f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-                    if report.witness is not None
-                    else ""
-                )
-            )
-    print(f"{args.seeds} campaigns, {len(failed)} failed")
-    for report in failed:
-        print(f"FAILED seed={report.seed}:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  violation: {violation}", file=sys.stderr)
-        for name in report.phase.wedged:
-            print(f"  wedged process: {name}", file=sys.stderr)
-        print(
-            f"  replay: python -m repro drill --campaign replication "
-            f"--seeds 1 --seed-base {report.seed} --replicas {args.replicas} "
-            f"--mode {args.mode}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
-
-
-def _availability_main(args: argparse.Namespace) -> int:
-    """``python -m repro drill --campaign availability`` — self-healing drill."""
-    from repro.replica.availability import run_availability_campaign
-
-    print(
-        f"availability campaign: seeds={args.seeds} replicas={args.replicas} "
-        f"duration={args.duration} mode=quorum (partition -> automatic "
-        f"fail-over + crash-point sweep)"
-    )
-    failed = []
-    for offset in range(args.seeds):
-        seed = args.seed_base + offset
-        report = run_availability_campaign(
-            seed, duration=args.duration, n_replicas=args.replicas
-        )
-        if not report.ok:
-            failed.append(report)
-        if not args.quiet:
-            verdict = "ok" if report.ok else "FAIL"
-            phase = report.phase
-            outage = max(phase.outages) if phase.outages else 0.0
-            crash_ok = sum(1 for p in report.crash_points if p.ok)
-            print(
-                f"  seed={seed:<4d} {verdict:4s} "
-                f"rw={phase.rw_commits:<4d} post={phase.rw_commits_post:<3d} "
-                f"ro={phase.ro_commits:<5d} "
-                f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
-                f"outage={outage:<6.2f} fenced={phase.fenced:<2d} "
-                f"split={'fenced' if phase.split_brain_fenced else 'FAIL'} "
-                f"crash={crash_ok}/{len(report.crash_points)}"
-                + (
-                    f" slo={'ok' if report.slo['ok'] else 'BREACH'}"
-                    if report.slo is not None
-                    else ""
-                )
-                + (
-                    f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-                    if report.witness is not None
-                    else ""
-                )
-            )
-    print(f"{args.seeds} campaigns, {len(failed)} failed")
-    for report in failed:
-        print(f"FAILED seed={report.seed}:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  violation: {violation}", file=sys.stderr)
-        for name in report.phase.wedged:
-            print(f"  wedged process: {name}", file=sys.stderr)
-        print(
-            f"  replay: python -m repro drill --campaign availability "
-            f"--seeds 1 --seed-base {report.seed} --replicas {args.replicas}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
+#: Every ``drill --campaign``: what it runs, and the flags it reads.
+CAMPAIGNS: dict[str, Campaign] = {
+    "faults": Campaign(
+        entry="repro.faults.drill:run_drill",
+        kwargs=lambda a: dict(
+            protocol=a.protocol,
+            duration=a.duration,
+            n_sites=a.sites,
+            spec=_spec(a),
+            crash_mean=a.crash_mean or None,
+            slo=a.slo,
+            witness=a.witness,
+        ),
+        header=lambda a: (
+            f"fault drill: protocols="
+            f"{','.join(s.protocol for s in _protocol_sweeps(a))} "
+            f"seeds={a.seeds} {_spec_text(a)} crash_mean={a.crash_mean or 'off'}"
+        ),
+        flags=dict(
+            protocol="both",
+            sites=3,
+            **_spec_flags(DEFAULT_SPEC),
+            crash_mean=90.0,
+            slo=False,
+            witness=False,
+        ),
+        traced=True,
+        totals=_fault_totals,
+        sweeps=_protocol_sweeps,
+    ),
+    "overload": Campaign(
+        entry="repro.qos.overload:run_overload_campaign",
+        kwargs=lambda a: dict(duration=a.duration, policy=a.policy),
+        header=lambda a: (
+            f"overload campaign: seeds={a.seeds} policy={a.policy} "
+            f"duration={a.duration}"
+        ),
+        flags=dict(policy="fifo"),
+    ),
+    "replication": Campaign(
+        entry="repro.replica.campaign:run_replication_campaign",
+        kwargs=lambda a: dict(
+            duration=a.duration,
+            n_replicas=a.replicas,
+            spec=_spec(a),
+            mode=a.mode,
+            promote=not a.no_promote,
+        ),
+        header=lambda a: (
+            f"replication campaign: seeds={a.seeds} replicas={a.replicas} "
+            f"duration={a.duration} mode={a.mode} {_spec_text(a)} "
+            f"promote={not a.no_promote}"
+        ),
+        flags=dict(
+            replicas=3,
+            mode="async",
+            no_promote=False,
+            **_spec_flags(REPLICATION_SPEC),
+        ),
+    ),
+    "memory": Campaign(
+        entry="repro.qos.memory:run_memory_campaign",
+        kwargs=lambda a: dict(duration=a.duration),
+        header=lambda a: f"memory campaign: seeds={a.seeds} duration={a.duration}",
+    ),
+    "availability": Campaign(
+        entry="repro.replica.availability:run_availability_campaign",
+        kwargs=lambda a: dict(duration=a.duration, n_replicas=a.replicas),
+        header=lambda a: (
+            f"availability campaign: seeds={a.seeds} replicas={a.replicas} "
+            f"duration={a.duration} mode=quorum (partition -> automatic "
+            f"fail-over + crash-point sweep)"
+        ),
+        flags=dict(replicas=3),
+    ),
+    "shard": Campaign(
+        entry="repro.shard.campaign:run_shard_campaign",
+        kwargs=lambda a: dict(duration=a.duration, n_shards=a.sites),
+        header=lambda a: (
+            f"shard campaign: seeds={a.seeds} shards={a.sites} "
+            f"duration={a.duration} (partition one shard -> fail-over "
+            f"mid-batch; certify 1SR + vector consistency + determinism + "
+            f"fail-over isolation)"
+        ),
+        flags=dict(sites=3),
+    ),
+}
 
 
-def _shard_main(args: argparse.Namespace) -> int:
-    """``python -m repro drill --campaign shard`` — multi-primary drill."""
-    from repro.shard.campaign import run_shard_campaign
+#: The flags some campaigns read (see :attr:`Campaign.flags`).
+FLAGS: dict[str, dict[str, Any]] = {
+    "--protocol": dict(
+        choices=(*PROTOCOLS, "both"), help="distributed protocol to drill"
+    ),
+    "--policy": dict(
+        choices=("fifo", "lifo-shed", "priority"),
+        help="admission shedding policy",
+    ),
+    "--sites": dict(type=int, help="sites (shards) per database"),
+    "--replicas": dict(type=int, help="replica count"),
+    "--no-promote": dict(
+        action="store_true", help="skip the mid-run primary fail-over"
+    ),
+    "--mode": dict(
+        choices=("async", "quorum"),
+        help="durability: async acknowledges at the local force (RPO = lag), "
+        "quorum at majority durability (RPO = 0)",
+    ),
+    "--drop": dict(type=float, help="drop probability"),
+    "--duplicate": dict(type=float, help="duplicate probability"),
+    "--delay-spike": dict(type=float, help="delay-spike probability"),
+    "--crash-mean": dict(
+        type=float,
+        help="mean virtual time between site crash-restarts (0 disables)",
+    ),
+    "--slo": dict(action="store_true", help="run the online SLO watchdogs"),
+    "--witness": dict(
+        action="store_true", help="certify 1SR online (docs/witness.md)"
+    ),
+}
 
-    print(
-        f"shard campaign: seeds={args.seeds} shards={args.sites} "
-        f"duration={args.duration} (partition one shard -> fail-over "
-        f"mid-batch; certify 1SR + vector consistency + determinism + "
-        f"fail-over isolation)"
-    )
-    failed = []
-    for offset in range(args.seeds):
-        seed = args.seed_base + offset
-        report = run_shard_campaign(
-            seed, duration=args.duration, n_shards=args.sites
-        )
-        if not report.ok:
-            failed.append(report)
-        if not args.quiet:
-            verdict = "ok" if report.ok else "FAIL"
-            phase = report.phase
-            failed_outages = phase.outages_per_shard.get(report.fail_shard, ())
-            outage = max(failed_outages) if failed_outages else 0.0
-            print(
-                f"  seed={seed:<4d} {verdict:4s} "
-                f"fast={phase.fast_commits:<4d} x={phase.cross_commits:<3d} "
-                f"ro={phase.ro_sessions:<4d} "
-                f"audits={phase.audits_failed} "
-                f"survive={phase.survivor_commits_during:<3d} "
-                f"outage={outage:<6.2f} "
-                f"det={'yes' if report.deterministic else 'NO'}"
-                + (
-                    f" slo={'ok' if report.slo['ok'] else 'BREACH'}"
-                    if report.slo is not None
-                    else ""
-                )
-                + (
-                    f" witness={'1SR' if report.witness['ok'] else 'FAIL'}"
-                    if report.witness is not None
-                    else ""
-                )
-            )
-    print(f"{args.seeds} campaigns, {len(failed)} failed")
-    for report in failed:
-        print(f"FAILED seed={report.seed}:", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  violation: {violation}", file=sys.stderr)
-        for name in report.phase.wedged:
-            print(f"  wedged process: {name}", file=sys.stderr)
-        print(
-            f"  replay: python -m repro drill --campaign shard "
-            f"--seeds 1 --seed-base {report.seed} --sites {args.sites}",
-            file=sys.stderr,
-        )
-    return 1 if failed else 0
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro drill`` — seeded campaigns with a verdict."""
+    return run_cli(CAMPAIGNS, FLAGS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,6 +78,9 @@ class FaultSpec:
 #: A moderate default mix used by ``python -m repro drill``.
 DEFAULT_SPEC = FaultSpec(drop=0.08, duplicate=0.05, delay_spike=0.05)
 
+#: The replication drill's mix: noticeably lossy shipping channels.
+REPLICATION_SPEC = FaultSpec(drop=0.10, duplicate=0.08, delay_spike=0.08)
+
 
 @dataclass
 class FaultDecision:

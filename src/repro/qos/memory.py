@@ -38,19 +38,19 @@ trace events ride the same pipeline as everything else in :mod:`repro.obs`.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.errors import Overloaded, SnapshotTooOld, TransactionAborted
+from repro.faults.campaign import CampaignReport, apply_verdicts, fields_of, slo_engine
 from repro.obs.pipeline import ObsPipeline
 from repro.obs.tracer import NULL_TRACER
 from repro.qos.admission import AdmissionController
 from repro.qos.retry import BackoffPolicy
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS = 16
 
 #: Default peak-footprint bound as a multiple of the high watermark.  The
 #: footprint may legitimately overshoot the watermark by the versions
@@ -237,11 +237,10 @@ class MemoryStats:
         )
 
 
-@dataclass
-class MemoryReport:
+@dataclass(kw_only=True)
+class MemoryReport(CampaignReport):
     """Outcome of one seeded memory campaign."""
 
-    seed: int
     duration: float
     writers: int
     readers: int
@@ -252,69 +251,59 @@ class MemoryReport:
     high_watermark: int
     live_bound: int
     stats: MemoryStats
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
-    witness: dict[str, Any] | None = None
     #: Ceiling asserted on ``witness["peak_tracked"]`` — like ``live_bound``
     #: a constant independent of ``duration``.
     witness_bound: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict[str, Any]:
+    def details(self) -> dict[str, Any]:
+        stats = self.stats
         return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "writers": self.writers,
-            "readers": self.readers,
-            "long_scans": self.long_scans,
-            "ttl": self.ttl,
-            "check_period": self.check_period,
-            "low_watermark": self.low_watermark,
-            "high_watermark": self.high_watermark,
-            "live_bound": self.live_bound,
-            "rw_commits": self.stats.rw_commits,
-            "rw_shed": self.stats.rw_shed,
-            "rw_aborts": self.stats.rw_aborts,
-            "ro_commits": self.stats.ro_commits,
-            "scan_commits": self.stats.scan_commits,
-            "zombie_commits": self.stats.zombie_commits,
-            "revocations": len(self.stats.revocations),
-            "revoked_by_cause": _tally(c for _, c in self.stats.revocations),
-            "too_old_by_cause": dict(sorted(self.stats.too_old_by_cause.items())),
-            "peak_live": self.stats.peak_live,
-            "final_live": self.stats.final_live,
-            "gc_passes": self.stats.gc_passes,
-            "gc_discarded": self.stats.gc_discarded,
-            "gc_interior": self.stats.gc_interior,
+            **fields_of(
+                self,
+                "seed duration writers readers long_scans ttl check_period "
+                "low_watermark high_watermark live_bound",
+            ),
+            **fields_of(
+                stats,
+                "rw_commits rw_shed rw_aborts ro_commits scan_commits zombie_commits",
+            ),
+            "revocations": len(stats.revocations),
+            "revoked_by_cause": dict(
+                sorted(Counter(c for _, c in stats.revocations).items())
+            ),
+            "too_old_by_cause": dict(sorted(stats.too_old_by_cause.items())),
+            **fields_of(
+                stats, "peak_live final_live gc_passes gc_discarded gc_interior"
+            ),
             "gc_scan_per_reclaimed": (
-                round(self.stats.gc_scanned / self.stats.gc_discarded, 6)
-                if self.stats.gc_discarded
+                round(stats.gc_scanned / stats.gc_discarded, 6)
+                if stats.gc_discarded
                 else None
             ),
-            "invariant_violations": list(self.stats.invariant_violations),
-            "qos_events": dict(self.stats.qos_events),
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "slo": self.slo,
-            "witness": self.witness,
-            "witness_bound": self.witness_bound,
-            "ok": self.ok,
+            **fields_of(stats, "invariant_violations qos_events"),
         }
 
+    def as_dict(self) -> dict[str, Any]:
+        out = super().as_dict()
+        ok = out.pop("ok")
+        return {**out, "witness_bound": self.witness_bound, "ok": ok}
 
-def _tally(items) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for item in items:
-        out[item] = out.get(item, 0) + 1
-    return dict(sorted(out.items()))
+    def summary(self) -> str:
+        stats = self.stats
+        return (
+            f"peak={stats.peak_live:<4d} (bound {self.live_bound}) "
+            f"revoked={len(stats.revocations):<3d} "
+            f"too_old={stats.too_old_total:<3d} "
+            f"scans={stats.scan_commits:<3d} "
+            f"ro={stats.ro_commits:<4d} rw={stats.rw_commits:<4d} "
+            f"shed={stats.rw_shed}"
+            + self.tags()
+            + (
+                f" (peak {self.witness['peak_tracked']})"
+                if self.witness is not None
+                else ""
+            )
+        )
 
 
 def _run_phase(
@@ -541,16 +530,6 @@ def _run_phase(
     return stats
 
 
-def _memory_engine(live_bound: int, duration: float):
-    from repro.obs.slo import FlightRecorder, SLOEngine, memory_objectives
-
-    return SLOEngine(
-        memory_objectives(live_versions_bound=live_bound),
-        window=duration / SLO_WINDOWS,
-        recorder=FlightRecorder(capacity=16_384),
-    )
-
-
 def run_memory_campaign(
     seed: int = 0,
     *,
@@ -596,6 +575,7 @@ def run_memory_campaign(
       ``duration``) — sealing, not run length, bounds the certifier.
     """
     from repro.faults.determinism import verify_double_run
+    from repro.obs.slo import memory_objectives
 
     if live_bound is None:
         live_bound = int(high_watermark * LIVE_BOUND_FACTOR)
@@ -608,28 +588,28 @@ def run_memory_campaign(
         witness_bound = 4 * live_bound + 8 * (
             n_keys + writers + readers + long_scans
         )
-    knobs = dict(
-        duration=duration,
-        writers=writers,
-        readers=readers,
-        long_scans=long_scans,
-        n_keys=n_keys,
-        ttl=ttl,
-        check_period=check_period,
-        low_watermark=low_watermark,
-        high_watermark=high_watermark,
-    )
     outcome = verify_double_run(
-        lambda engine, certifier: _run_phase(
-            seed, engine=engine, witness=certifier, **knobs
+        partial(
+            _run_phase,
+            seed,
+            duration=duration,
+            writers=writers,
+            readers=readers,
+            long_scans=long_scans,
+            n_keys=n_keys,
+            ttl=ttl,
+            check_period=check_period,
+            low_watermark=low_watermark,
+            high_watermark=high_watermark,
         ),
         slo=slo,
         witness=witness,
-        make_engine=lambda: _memory_engine(live_bound, duration),
+        make_engine=lambda: slo_engine(
+            memory_objectives(live_versions_bound=live_bound), duration
+        ),
         verify=verify_determinism,
     )
-    stats, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    stats, certifier = outcome.result, outcome.certifier
 
     report = MemoryReport(
         seed=seed,
@@ -643,7 +623,6 @@ def run_memory_campaign(
         high_watermark=high_watermark,
         live_bound=live_bound,
         stats=stats,
-        deterministic=deterministic,
         witness_bound=witness_bound,
     )
     checks = report.violations
@@ -665,22 +644,10 @@ def run_memory_campaign(
         checks.append("no read-only commits")
     if not stats.gc_passes:
         checks.append("garbage collector never ran")
-    if not deterministic:
-        checks.append("memory campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            checks.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        checks.extend(certifier.gate_violations())
-        if certifier.peak_tracked > witness_bound:
-            checks.append(
-                f"witness peak tracked {certifier.peak_tracked} above bound "
-                f"{witness_bound}: sealing failed to fold the prefix"
-            )
+    apply_verdicts(report, outcome.engine, certifier, outcome.deterministic)
+    if certifier is not None and certifier.peak_tracked > witness_bound:
+        checks.append(
+            f"witness peak tracked {certifier.peak_tracked} above bound "
+            f"{witness_bound}: sealing failed to fold the prefix"
+        )
     return report

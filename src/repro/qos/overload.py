@@ -27,9 +27,11 @@ these; the bench artifact embeds one run's headline numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.errors import AbortReason, Overloaded, TransactionAborted
+from repro.faults.campaign import CampaignReport, apply_verdicts, fields_of, slo_engine
 from repro.obs.pipeline import ObsPipeline
 from repro.qos.admission import AdmissionController
 from repro.qos.retry import BackoffPolicy
@@ -47,9 +49,6 @@ RO_P99_CEILING = 1.5
 #: effectively a maximum with much heavier tails; the run-level 1.5x check
 #: still applies unchanged.
 RO_P99_WINDOW_CEILING = 2.0
-
-#: Tumbling windows per campaign phase for the online SLO engine.
-SLO_WINDOWS_PER_PHASE = 16
 
 
 @dataclass
@@ -81,11 +80,10 @@ class PhaseStats:
         )
 
 
-@dataclass
-class OverloadReport:
+@dataclass(kw_only=True)
+class OverloadReport(CampaignReport):
     """Outcome of one seeded overload campaign."""
 
-    seed: int
     duration: float
     capacity: int
     writers: int
@@ -94,18 +92,6 @@ class OverloadReport:
     deadline: float
     baseline: PhaseStats
     overload: PhaseStats
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
-    witness: dict[str, Any] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def shed_rate(self) -> float:
@@ -124,34 +110,32 @@ class OverloadReport:
         base = self.baseline.ro_latency.p99
         return self.overload.ro_latency.p99 / base if base > 0 else 1.0
 
-    def as_dict(self) -> dict[str, Any]:
+    def details(self) -> dict[str, Any]:
+        overload = self.overload
         return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "capacity": self.capacity,
-            "writers": self.writers,
-            "readers": self.readers,
-            "policy": self.policy,
-            "deadline": self.deadline,
+            **fields_of(self, "seed duration capacity writers readers policy deadline"),
             "shed_rate": round(self.shed_rate, 6),
             "deadline_miss_rate": round(self.deadline_miss_rate, 6),
-            "rw_commits": self.overload.rw_commits,
-            "rw_shed": self.overload.rw_shed,
-            "rw_deadline_misses": self.overload.rw_deadline_misses,
-            "ro_commits": self.overload.ro_commits,
-            "ro_shed": self.overload.ro_shed,
-            "ro_deadline_misses": self.overload.ro_deadline_misses,
+            **fields_of(
+                overload,
+                "rw_commits rw_shed rw_deadline_misses "
+                "ro_commits ro_shed ro_deadline_misses",
+            ),
             "ro_p99_baseline": round(self.baseline.ro_latency.p99, 6),
-            "ro_p99_overload": round(self.overload.ro_latency.p99, 6),
+            "ro_p99_overload": round(overload.ro_latency.p99, 6),
             "ro_p99_ratio": round(self.ro_p99_ratio, 6),
-            "staleness_max": self.overload.staleness.maximum,
-            "qos_events": dict(self.overload.qos_events),
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
+            "staleness_max": overload.staleness.maximum,
+            "qos_events": dict(overload.qos_events),
         }
+
+    def summary(self) -> str:
+        return (
+            f"shed={self.shed_rate:<7.2%} "
+            f"miss={self.deadline_miss_rate:<7.2%} "
+            f"ro_p99x={self.ro_p99_ratio:<5.2f} "
+            f"rw_commits={self.overload.rw_commits:<5d} "
+            f"ro_commits={self.overload.ro_commits}"
+        ) + self.tags(slo=False)
 
 
 def _run_phase(
@@ -284,24 +268,6 @@ def _run_phase(
     return stats
 
 
-def _overload_engine(baseline: PhaseStats, capacity: int, duration: float):
-    """The overload phase's online watchdogs, thresholds anchored to the
-    campaign's own uncontended baseline phase."""
-    from repro.obs.slo import FlightRecorder, SLOEngine, overload_objectives
-
-    base_p99 = baseline.ro_latency.p99
-    return SLOEngine(
-        overload_objectives(
-            capacity=capacity,
-            ro_p99_ceiling=(
-                RO_P99_WINDOW_CEILING * base_p99 if base_p99 > 0 else None
-            ),
-        ),
-        window=duration / SLO_WINDOWS_PER_PHASE,
-        recorder=FlightRecorder(capacity=16_384),
-    )
-
-
 def run_overload_campaign(
     seed: int = 0,
     *,
@@ -339,6 +305,7 @@ def run_overload_campaign(
     must replay byte-identically too.
     """
     from repro.faults.determinism import verify_double_run
+    from repro.obs.slo import overload_objectives
 
     writers = max(1, int(capacity * overload_factor))
     knobs = dict(
@@ -349,17 +316,20 @@ def run_overload_campaign(
         deadline=deadline,
     )
     baseline = _run_phase(seed, writers=0, **knobs)
+    # The overload phase's watchdogs are anchored to this baseline's p99.
+    base_p99 = baseline.ro_latency.p99
+    ceiling = RO_P99_WINDOW_CEILING * base_p99 if base_p99 > 0 else None
     outcome = verify_double_run(
-        lambda engine, certifier: _run_phase(
-            seed, writers=writers, engine=engine, witness=certifier, **knobs
-        ),
+        partial(_run_phase, seed, writers=writers, **knobs),
         slo=slo,
         witness=witness,
-        make_engine=lambda: _overload_engine(baseline, capacity, duration),
+        make_engine=lambda: slo_engine(
+            overload_objectives(capacity=capacity, ro_p99_ceiling=ceiling),
+            duration,
+        ),
         verify=verify_determinism,
     )
-    overload, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    overload = outcome.result
 
     report = OverloadReport(
         seed=seed,
@@ -371,7 +341,6 @@ def run_overload_campaign(
         deadline=deadline,
         baseline=baseline,
         overload=overload,
-        deterministic=deterministic,
     )
     checks = report.violations
     if overload.ro_shed:
@@ -397,17 +366,5 @@ def run_overload_campaign(
         )
     if not any(name.startswith("qos.") for name in overload.qos_events):
         checks.append("no qos.* trace events emitted")
-    if not deterministic:
-        checks.append("overload phase not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            checks.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        checks.extend(certifier.gate_violations())
+    apply_verdicts(report, outcome.engine, outcome.certifier, outcome.deterministic)
     return report

@@ -50,6 +50,7 @@ from typing import Any
 
 from repro.distributed.courier import Courier
 from repro.errors import ProtocolError, QuorumUnavailable, TransactionAborted
+from repro.faults.campaign import CampaignReport, apply_verdicts, fields_of, slo_engine
 from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.invariants import ClusterInvariantChecker
 from repro.faults.schedule import FaultSchedule
@@ -60,9 +61,6 @@ from repro.replica.quorum import ReplicationMode
 from repro.replica.session import ReplicatedDatabase
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS_PER_RUN = 16
 
 #: Commit-pipeline stages the crash sweep kills the primary at.
 CRASH_POINTS = (
@@ -152,67 +150,49 @@ class CrashPointResult:
 
     def as_dict(self) -> dict[str, Any]:
         return {
-            "point": self.point,
-            "acked": list(self.acked),
-            "promoted_vtnc": self.promoted_vtnc,
-            "lost_acked": self.lost_acked,
-            "inflight": self.inflight,
-            "recovered": self.recovered,
+            **fields_of(
+                self, "point acked promoted_vtnc lost_acked inflight recovered"
+            ),
             "ok": self.ok,
         }
 
 
-@dataclass
-class AvailabilityReport:
+@dataclass(kw_only=True)
+class AvailabilityReport(CampaignReport):
     """Outcome of one seeded availability campaign."""
 
-    seed: int
     duration: float
     n_replicas: int
     writers: int
     max_outage: float
     phase: AvailabilityPhase
     crash_points: list[CrashPointResult] = field(default_factory=list)
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    slo: dict[str, Any] | None = None
-    witness: dict[str, Any] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.phase.wedged
-
-    def as_dict(self) -> dict[str, Any]:
+    def details(self) -> dict[str, Any]:
         return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_replicas": self.n_replicas,
-            "writers": self.writers,
-            "max_outage": self.max_outage,
-            "rw_commits": self.phase.rw_commits,
-            "rw_aborts": self.phase.rw_aborts,
-            "rw_commits_post": self.phase.rw_commits_post,
-            "ro_commits": self.phase.ro_commits,
-            "fenced": self.phase.fenced,
-            "indeterminate": self.phase.indeterminate,
-            "auto_promotions": self.phase.auto_promotions,
-            "promoted_replica": self.phase.promoted_replica,
-            "promoted_at": self.phase.promoted_at,
-            "partition_at": self.phase.partition_at,
-            "rpo_txns": self.phase.rpo_txns,
-            "outages": list(self.phase.outages),
-            "stale_segments": self.phase.stale_segments,
-            "split_brain_fenced": self.phase.split_brain_fenced,
-            "primary_vtnc": self.phase.primary_vtnc,
-            "epoch": self.phase.epoch,
+            **fields_of(self, "seed duration n_replicas writers max_outage"),
+            **fields_of(
+                self.phase,
+                "rw_commits rw_aborts rw_commits_post ro_commits fenced "
+                "indeterminate auto_promotions promoted_replica promoted_at "
+                "partition_at rpo_txns outages stale_segments split_brain_fenced "
+                "primary_vtnc epoch",
+            ),
             "crash_points": [point.as_dict() for point in self.crash_points],
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "wedged": list(self.phase.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
         }
+
+    def summary(self) -> str:
+        phase = self.phase
+        outage = max(phase.outages) if phase.outages else 0.0
+        crash_ok = sum(1 for p in self.crash_points if p.ok)
+        return (
+            f"rw={phase.rw_commits:<4d} post={phase.rw_commits_post:<3d} "
+            f"ro={phase.ro_commits:<5d} "
+            f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
+            f"outage={outage:<6.2f} fenced={phase.fenced:<2d} "
+            f"split={'fenced' if phase.split_brain_fenced else 'FAIL'} "
+            f"crash={crash_ok}/{len(self.crash_points)}"
+        ) + self.tags()
 
 
 def _run_partition_phase(
@@ -247,14 +227,9 @@ def _run_partition_phase(
         checked=True,
         mode=ReplicationMode.QUORUM,
     )
-    pipeline = (
-        ObsPipeline(sim=sim, engine=engine, witness=witness)
-        if engine is not None or witness is not None
-        else None
-    )
-    if pipeline is not None:
-        pipeline.attach(cluster)
-    tracer = pipeline.tracer if pipeline is not None else cluster.tracer
+    pipeline = ObsPipeline(sim=sim, engine=engine, witness=witness)
+    pipeline.attach(cluster)
+    tracer = pipeline.tracer
     session = ReplicatedDatabase(
         cluster, max_staleness=None, stale_policy="stale"
     )
@@ -413,12 +388,11 @@ def _run_partition_phase(
         for channel in held_channels:
             courier.heal(channel)
         held_channels.clear()
-        if pipeline is not None:
-            # Silence the deposed-but-alive primary's recorder (attach
-            # stacks handles; without the detach its post-promotion events
-            # would keep flowing and the witness would see two timelines).
-            pipeline.detach()
-            pipeline.attach(cluster)
+        # Silence the deposed-but-alive primary's recorder (attach stacks
+        # handles; without the detach its post-promotion events would keep
+        # flowing and the witness would see two timelines).
+        pipeline.detach()
+        pipeline.attach(cluster)
 
     supervisor.start()
     cluster.on_promote.append(after_promotion)
@@ -458,8 +432,7 @@ def _run_partition_phase(
         replica.segments_stale
         for replica in deposed.get("replicas", {}).values()
     )
-    if pipeline is not None:
-        pipeline.close()
+    pipeline.close()
     return stats
 
 
@@ -580,6 +553,7 @@ def run_availability_campaign(
     contributed no second timeline.
     """
     from repro.faults.determinism import verify_double_run
+    from repro.obs.slo import availability_objectives
 
     if heartbeat is None:
         heartbeat = HeartbeatConfig(
@@ -587,15 +561,6 @@ def run_availability_campaign(
         )
     if partition_at is None:
         partition_at = 0.4 * duration
-
-    def make_engine() -> Any:
-        from repro.obs.slo import FlightRecorder, SLOEngine, availability_objectives
-
-        return SLOEngine(
-            availability_objectives(max_outage=max_outage),
-            window=duration / SLO_WINDOWS_PER_RUN,
-            recorder=FlightRecorder(capacity=16_384),
-        )
 
     knobs = dict(
         duration=duration,
@@ -607,8 +572,8 @@ def run_availability_campaign(
     )
     crash_points: list[Any] = []
 
-    def first_run(engine: Any | None, certifier: Any | None) -> Any:
-        phase = _run_partition_phase(seed, engine=engine, witness=certifier, **knobs)
+    def first_run(**observers: Any) -> Any:
+        phase = _run_partition_phase(seed, **observers, **knobs)
         if not crash_points:
             crash_points.extend(
                 _run_crash_point(point, n_replicas=n_replicas)
@@ -625,12 +590,13 @@ def run_availability_campaign(
         first_run,
         slo=slo,
         witness=witness,
-        make_engine=make_engine,
+        make_engine=lambda: slo_engine(
+            availability_objectives(max_outage=max_outage), duration
+        ),
         verify=verify_determinism,
         extra_check=resweep_matches,
     )
-    phase, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    phase = outcome.result
 
     report = AvailabilityReport(
         seed=seed,
@@ -640,6 +606,7 @@ def run_availability_campaign(
         max_outage=max_outage,
         phase=phase,
         crash_points=crash_points,
+        wedged=phase.wedged,
     )
     report.violations.extend(phase.violations)
     if not phase.rw_commits:
@@ -684,26 +651,13 @@ def run_availability_campaign(
                 f"crash point {point.point!r}: lost_acked="
                 f"{point.lost_acked} recovered={point.recovered}"
             )
-    if not deterministic:
-        report.deterministic = False
-        report.violations.append("campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
-        if report.witness.get("duplicate_commits"):
-            report.violations.append(
-                f"witness counted {report.witness['duplicate_commits']} "
-                "duplicate commit(s): the deposed primary leaked a second "
-                "timeline"
-            )
+    apply_verdicts(report, outcome.engine, outcome.certifier, outcome.deterministic)
+    if report.witness is not None and report.witness.get("duplicate_commits"):
+        report.violations.append(
+            f"witness counted {report.witness['duplicate_commits']} "
+            "duplicate commit(s): the deposed primary leaked a second "
+            "timeline"
+        )
     return report
 
 

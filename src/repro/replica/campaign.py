@@ -31,11 +31,18 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.errors import ProtocolError, TransactionAborted
+from repro.faults.campaign import CampaignReport, apply_verdicts, fields_of, slo_engine
 from repro.faults.courier import FaultyCourier, RetryPolicy
-from repro.faults.schedule import FaultSchedule, FaultSpec, PartitionWindow
+from repro.faults.schedule import (
+    REPLICATION_SPEC,
+    FaultSchedule,
+    FaultSpec,
+    PartitionWindow,
+)
 from repro.obs.pipeline import ObsPipeline
 from repro.replica.cluster import ReplicaCluster
 from repro.replica.quorum import ReplicationMode
@@ -43,12 +50,6 @@ from repro.replica.session import ReplicatedDatabase
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
 from repro.sim.stats import Summary
-
-#: Fault mix for the replication drill: noticeably lossy shipping channels.
-REPLICATION_SPEC = FaultSpec(drop=0.10, duplicate=0.08, delay_spike=0.08)
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS_PER_RUN = 16
 
 
 @dataclass
@@ -100,11 +101,10 @@ class ReplicationPhase:
         )
 
 
-@dataclass
-class ReplicationReport:
+@dataclass(kw_only=True)
+class ReplicationReport(CampaignReport):
     """Outcome of one seeded replication campaign."""
 
-    seed: int
     duration: float
     n_replicas: int
     writers: int
@@ -113,52 +113,32 @@ class ReplicationReport:
     phase: ReplicationPhase
     mode: str = "async"
     faults: dict[str, int] = field(default_factory=dict)
-    messages: int = 0
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    #: Online watchdog verdict block (``SLOEngine.report()``); None when the
-    #: campaign ran with ``slo=False``.
-    slo: dict[str, Any] | None = None
-    #: Streaming serializability verdict (``WitnessEngine.report()``); None
-    #: when the campaign ran with ``witness=False``.
-    witness: dict[str, Any] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.phase.wedged
-
-    def as_dict(self) -> dict[str, Any]:
+    def details(self) -> dict[str, Any]:
         return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_replicas": self.n_replicas,
-            "writers": self.writers,
-            "readers": self.readers,
-            "promote": self.promote,
-            "mode": self.mode,
-            "rpo_txns": self.phase.rpo_txns,
-            "failover_lag_txns": self.phase.failover_lag_txns,
-            "rw_commits": self.phase.rw_commits,
-            "rw_aborts": self.phase.rw_aborts,
-            "ro_commits": self.phase.ro_commits,
-            "ro_reads": self.phase.ro_reads,
-            "ro_served": self.phase.ro_served,
-            "ro_redirects": self.phase.ro_redirects,
-            "ro_stale": self.phase.ro_stale,
-            "max_lag_txns": self.phase.max_lag_txns,
+            **fields_of(self, "seed duration n_replicas writers readers promote mode"),
+            **fields_of(
+                self.phase,
+                "rpo_txns failover_lag_txns rw_commits rw_aborts ro_commits "
+                "ro_reads ro_served ro_redirects ro_stale max_lag_txns",
+            ),
             "staleness_max": self.phase.staleness.maximum,
-            "promoted_replica": self.phase.promoted_replica,
-            "final_vtncs": list(self.phase.final_vtncs),
-            "primary_vtnc": self.phase.primary_vtnc,
+            **fields_of(self.phase, "promoted_replica final_vtncs primary_vtnc"),
             "faults": dict(self.faults),
-            "messages": self.messages,
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "wedged": list(self.phase.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
+            "messages": self.phase.messages,
         }
+
+    def summary(self) -> str:
+        phase = self.phase
+        return (
+            f"rw={phase.rw_commits:<4d} ro={phase.ro_commits:<5d} "
+            f"lag_max={phase.max_lag_txns:<3d} "
+            f"redirects={phase.ro_redirects:<4d} "
+            f"promoted=r{phase.promoted_replica or '-'} "
+            f"rpo={phase.rpo_txns if phase.rpo_txns is not None else '-'} "
+            f"drops={self.faults.get('drops', 0):<3d} "
+            f"parked={self.faults.get('partition_deferrals', 0)}"
+        ) + self.tags(slo=False)
 
 
 def _committed_dump(store) -> dict:
@@ -245,14 +225,9 @@ def _run_phase(
     cluster = ReplicaCluster(
         n_replicas=n_replicas, courier=courier, checked=True, mode=mode
     )
-    pipeline = (
-        ObsPipeline(sim=sim, engine=engine, witness=witness)
-        if engine is not None or witness is not None
-        else None
-    )
-    if pipeline is not None:
-        pipeline.attach(cluster)
-    tracer = pipeline.tracer if pipeline is not None else cluster.tracer
+    pipeline = ObsPipeline(sim=sim, engine=engine, witness=witness)
+    pipeline.attach(cluster)
+    tracer = pipeline.tracer
     session = ReplicatedDatabase(
         cluster, max_staleness=max_staleness, stale_policy="redirect"
     )
@@ -375,10 +350,9 @@ def _run_phase(
         promoted_vtnc = cluster.last_failover["promoted_vtnc"]
         stats.rpo_txns = sum(1 for tn in acked_tns if tn > promoted_vtnc)
         stats.failover_lag_txns = cluster.last_failover["lag_txns"]
-        if pipeline is not None:
-            # fail_over() built a fresh primary and shipper; re-attach so
-            # post-promotion events keep flowing to the watchdogs.
-            pipeline.attach(cluster)
+        # fail_over() built a fresh primary and shipper; re-attach so
+        # post-promotion events keep flowing to the watchdogs.
+        pipeline.attach(cluster)
         check_watermarks()
 
     for i in range(writers):
@@ -428,8 +402,7 @@ def _run_phase(
             )
     stats.faults = schedule.counts.as_dict()
     stats.messages = courier.delivered
-    if pipeline is not None:
-        pipeline.close()  # detach, finish the engine's last window
+    pipeline.close()  # detach, finish the engine's last window
     return stats
 
 
@@ -472,40 +445,33 @@ def run_replication_campaign(
     and an MVSG cycle (or a tainted seal) is a campaign violation.
     """
     from repro.faults.determinism import verify_double_run
+    from repro.obs.slo import replication_objectives
 
     spec = spec if spec is not None else REPLICATION_SPEC
     mode = ReplicationMode(mode).value
 
-    def make_engine() -> Any:
-        from repro.obs.slo import FlightRecorder, SLOEngine, replication_objectives
-
-        return SLOEngine(
-            replication_objectives(max_staleness=max_staleness, writers=writers),
-            window=duration / SLO_WINDOWS_PER_RUN,
-            recorder=FlightRecorder(capacity=16_384),
-        )
-
-    knobs = dict(
-        duration=duration,
-        n_replicas=n_replicas,
-        writers=writers,
-        readers=readers,
-        spec=spec,
-        max_staleness=max_staleness,
-        mode=mode,
-        promote_at=0.55 * duration if promote else None,
-    )
     outcome = verify_double_run(
-        lambda engine, certifier: _run_phase(
-            seed, engine=engine, witness=certifier, **knobs
+        partial(
+            _run_phase,
+            seed,
+            duration=duration,
+            n_replicas=n_replicas,
+            writers=writers,
+            readers=readers,
+            spec=spec,
+            max_staleness=max_staleness,
+            mode=mode,
+            promote_at=0.55 * duration if promote else None,
         ),
         slo=slo,
         witness=witness,
-        make_engine=make_engine,
+        make_engine=lambda: slo_engine(
+            replication_objectives(max_staleness=max_staleness, writers=writers),
+            duration,
+        ),
         verify=verify_determinism,
     )
-    phase, engine, certifier = outcome.result, outcome.engine, outcome.certifier
-    deterministic = outcome.deterministic
+    phase = outcome.result
 
     report = ReplicationReport(
         seed=seed,
@@ -517,8 +483,7 @@ def run_replication_campaign(
         phase=phase,
         mode=mode,
         faults=dict(phase.faults),
-        messages=phase.messages,
-        deterministic=deterministic,
+        wedged=phase.wedged,
     )
     report.violations.extend(phase.violations)
     if not phase.rw_commits:
@@ -547,17 +512,5 @@ def run_replication_campaign(
                 f"async RPO {phase.rpo_txns} != measured replication lag "
                 f"{phase.failover_lag_txns} at fail-over"
             )
-    if not deterministic:
-        report.violations.append("campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
+    apply_verdicts(report, outcome.engine, outcome.certifier, outcome.deterministic)
     return report

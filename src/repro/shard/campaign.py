@@ -35,6 +35,7 @@ hard zero.  ``python -m repro drill --campaign shard`` sweeps seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.errors import (
@@ -42,6 +43,7 @@ from repro.errors import (
     TransactionAborted,
     VersionNotFound,
 )
+from repro.faults.campaign import CampaignReport, apply_verdicts, fields_of, slo_engine
 from repro.faults.courier import FaultyCourier, RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.histories.checker import check_one_copy_serializable
@@ -49,9 +51,6 @@ from repro.obs.pipeline import ObsPipeline
 from repro.shard.database import ShardedDatabase
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStreams
-
-#: Tumbling windows per campaign run for the online SLO engine.
-SLO_WINDOWS_PER_RUN = 16
 
 
 @dataclass
@@ -127,68 +126,53 @@ class ShardPhase:
         )
 
 
-@dataclass
-class ShardReport:
+@dataclass(kw_only=True)
+class ShardReport(CampaignReport):
     """Outcome of one seeded shard campaign."""
 
-    seed: int
     duration: float
     n_shards: int
     fail_shard: int
     max_outage: float
     phase: ShardPhase
-    deterministic: bool = True
-    violations: list[str] = field(default_factory=list)
-    slo: dict[str, Any] | None = None
-    witness: dict[str, Any] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.phase.wedged
-
-    def as_dict(self) -> dict[str, Any]:
+    def details(self) -> dict[str, Any]:
+        phase = self.phase
         return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "n_shards": self.n_shards,
-            "fail_shard": self.fail_shard,
-            "max_outage": self.max_outage,
-            "rw_commits": self.phase.rw_commits,
-            "rw_aborts": self.phase.rw_aborts,
-            "cross_commits": self.phase.cross_commits,
-            "cross_aborts": self.phase.cross_aborts,
-            "ro_sessions": self.phase.ro_sessions,
-            "ro_reads": self.phase.ro_reads,
-            "audits_failed": self.phase.audits_failed,
-            "max_staleness": self.phase.max_staleness,
+            **fields_of(self, "seed duration n_shards fail_shard max_outage"),
+            **fields_of(
+                phase,
+                "rw_commits rw_aborts cross_commits cross_aborts ro_sessions "
+                "ro_reads audits_failed max_staleness",
+            ),
             "commits_per_shard": {
-                str(sid): n for sid, n in sorted(self.phase.commits_per_shard.items())
+                str(sid): n for sid, n in sorted(phase.commits_per_shard.items())
             },
-            "survivor_commits_during": self.phase.survivor_commits_during,
-            "failed_commits_post": self.phase.failed_commits_post,
+            **fields_of(phase, "survivor_commits_during failed_commits_post"),
             "outages_per_shard": {
                 str(sid): list(windows)
-                for sid, windows in sorted(self.phase.outages_per_shard.items())
+                for sid, windows in sorted(phase.outages_per_shard.items())
             },
-            "partitioned_at": self.phase.partitioned_at,
-            "failover_at": self.phase.failover_at,
-            "lost_records": self.phase.lost_records,
-            "fast_commits": self.phase.fast_commits,
-            "vector_lowered": self.phase.vector_lowered,
-            "vector_inconsistent": self.phase.vector_inconsistent,
-            "ro_blocked": self.phase.ro_blocked,
-            "failovers": self.phase.failovers,
-            "replica_lag": self.phase.replica_lag,
-            "serializable": self.phase.serializable,
-            "watermarks": list(self.phase.watermarks),
-            "epoch": self.phase.epoch,
-            "deterministic": self.deterministic,
-            "violations": list(self.violations),
-            "wedged": list(self.phase.wedged),
-            "slo": self.slo,
-            "witness": self.witness,
-            "ok": self.ok,
+            **fields_of(
+                phase,
+                "partitioned_at failover_at lost_records fast_commits "
+                "vector_lowered vector_inconsistent ro_blocked failovers "
+                "replica_lag serializable watermarks epoch",
+            ),
         }
+
+    def summary(self) -> str:
+        phase = self.phase
+        failed_outages = phase.outages_per_shard.get(self.fail_shard, ())
+        outage = max(failed_outages) if failed_outages else 0.0
+        return (
+            f"fast={phase.fast_commits:<4d} x={phase.cross_commits:<3d} "
+            f"ro={phase.ro_sessions:<4d} "
+            f"audits={phase.audits_failed} "
+            f"survive={phase.survivor_commits_during:<3d} "
+            f"outage={outage:<6.2f} "
+            f"det={'yes' if self.deterministic else 'NO'}"
+        ) + self.tags()
 
 
 def _run_shard_phase(
@@ -229,13 +213,8 @@ def _run_shard_phase(
         prepare_timeout=prepare_timeout,
         replicas_per_shard=replicas_per_shard,
     )
-    pipeline = (
-        ObsPipeline(sim=sim, engine=engine, witness=witness)
-        if engine is not None or witness is not None
-        else None
-    )
-    if pipeline is not None:
-        pipeline.attach(db)
+    pipeline = ObsPipeline(sim=sim, engine=engine, witness=witness)
+    pipeline.attach(db)
     tracer = db.courier.tracer
     stats = ShardPhase()
     stats.commits_per_shard = {sid: 0 for sid in db.sites}
@@ -386,11 +365,10 @@ def _run_shard_phase(
         stats.lost_records = db.fail_over_shard(fail_shard)
         for channel in ShardedDatabase.shard_channels(fail_shard):
             courier.heal(channel)
-        if pipeline is not None:
-            # Recovery rebuilt the failed shard's VC object; re-attach so
-            # the per-site watermark bridge follows the new incarnation.
-            pipeline.detach()
-            pipeline.attach(db)
+        # Recovery rebuilt the failed shard's VC object; re-attach so the
+        # per-site watermark bridge follows the new incarnation.
+        pipeline.detach()
+        pipeline.attach(db)
         stats.failover_at = sim.now
 
     for i in range(writers):
@@ -439,8 +417,7 @@ def _run_shard_phase(
     stats.events_dispatched = sim.events_dispatched
     stats.watermarks = tuple(sorted(db.watermarks().items()))
     stats.epoch = db.sites[fail_shard].epoch
-    if pipeline is not None:
-        pipeline.close()
+    pipeline.close()
     return stats
 
 
@@ -473,43 +450,37 @@ def run_shard_campaign(
     stream across the fail-over.
     """
     from repro.faults.determinism import verify_double_run
+    from repro.obs.slo import shard_objectives
 
     if fail_shard is None:
         fail_shard = n_shards
     if partition_at is None:
         partition_at = 0.35 * duration
 
-    def make_engine() -> Any:
-        from repro.obs.slo import FlightRecorder, SLOEngine, shard_objectives
-
-        return SLOEngine(
-            shard_objectives(max_staleness=max_staleness, max_outage=max_outage),
-            window=duration / SLO_WINDOWS_PER_RUN,
-            recorder=FlightRecorder(capacity=16_384),
-        )
-
-    knobs = dict(
-        duration=duration,
-        n_shards=n_shards,
-        writers=writers,
-        cross_writers=cross_writers,
-        readers=readers,
-        fail_shard=fail_shard,
-        partition_at=partition_at,
-        failover_after=failover_after,
-        replicas_per_shard=replicas_per_shard,
-        prepare_timeout=prepare_timeout,
-    )
     outcome = verify_double_run(
-        lambda engine, certifier: _run_shard_phase(
-            seed, engine=engine, witness=certifier, **knobs
+        partial(
+            _run_shard_phase,
+            seed,
+            duration=duration,
+            n_shards=n_shards,
+            writers=writers,
+            cross_writers=cross_writers,
+            readers=readers,
+            fail_shard=fail_shard,
+            partition_at=partition_at,
+            failover_after=failover_after,
+            replicas_per_shard=replicas_per_shard,
+            prepare_timeout=prepare_timeout,
         ),
         slo=slo,
         witness=witness,
-        make_engine=make_engine,
+        make_engine=lambda: slo_engine(
+            shard_objectives(max_staleness=max_staleness, max_outage=max_outage),
+            duration,
+        ),
         verify=verify_determinism,
     )
-    phase, engine, certifier = outcome.result, outcome.engine, outcome.certifier
+    phase = outcome.result
 
     report = ShardReport(
         seed=seed,
@@ -518,6 +489,7 @@ def run_shard_campaign(
         fail_shard=fail_shard,
         max_outage=max_outage,
         phase=phase,
+        wedged=phase.wedged,
     )
     report.violations.extend(phase.violations)
     # Certification 1: 1SR.
@@ -587,25 +559,12 @@ def run_shard_campaign(
     if not phase.ro_sessions:
         report.violations.append("no vector snapshots: the read path is inert")
     # Certification 3: byte-deterministic double runs.
-    if not outcome.deterministic:
-        report.deterministic = False
-        report.violations.append("campaign not deterministic under fixed seed")
-    if engine is not None:
-        report.slo = engine.report()
-        for breach in engine.unexpected_breaches:
-            report.violations.append(
-                f"slo breach: {breach.objective} value={breach.value:g} "
-                f"vs {breach.threshold} at window "
-                f"[{breach.window_start:g}, {breach.window_end:g})"
-            )
-    if certifier is not None:
-        report.witness = certifier.report()
-        report.violations.extend(certifier.gate_violations())
-        if report.witness.get("duplicate_commits"):
-            report.violations.append(
-                f"witness counted {report.witness['duplicate_commits']} "
-                "duplicate commit(s) across the fail-over"
-            )
+    apply_verdicts(report, outcome.engine, outcome.certifier, outcome.deterministic)
+    if report.witness is not None and report.witness.get("duplicate_commits"):
+        report.violations.append(
+            f"witness counted {report.witness['duplicate_commits']} "
+            "duplicate commit(s) across the fail-over"
+        )
     return report
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultSpec, PartitionWindow, run_campaign, run_drill
+from repro.faults.drill import DrillReport
 from repro.faults.drill import main as drill_main
 from repro.obs import RingBufferExporter, Tracer
 
@@ -28,6 +29,17 @@ class TestRunDrill:
         a = run_drill("dvc", seed=9, duration=150.0).as_dict()
         b = run_drill("dvc", seed=9, duration=150.0).as_dict()
         assert a == b
+
+    def test_as_dict_copies_the_report_containers(self):
+        report = DrillReport(
+            protocol="dvc", seed=1, duration=1.0, faults={"drops": 2}, wedged=["w"]
+        )
+        out = report.as_dict()
+        assert list(out)[:2] == ["protocol", "seed"]
+        out["faults"]["drops"] = 0
+        out["wedged"].clear()
+        assert report.faults == {"drops": 2}
+        assert report.wedged == ["w"]
 
     def test_different_seeds_differ(self):
         a = run_drill("dvc", seed=1, duration=150.0).as_dict()
