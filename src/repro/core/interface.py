@@ -28,7 +28,7 @@ from repro.core.futures import OpFuture
 from repro.core.transaction import Transaction, TxnClass
 from repro.errors import AbortReason
 from repro.histories.recorder import HistoryRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.spans import start_span
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -58,6 +58,10 @@ class SchedulerCounters:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        # The counters each canonical event bumps, per (family, class, kind):
+        # looked up in the registry once, on the event's first occurrence,
+        # so the registry keeps its first-touch key order.
+        self._canonical: dict[tuple[str, str, str], tuple[Counter, ...]] = {}
 
     # -- generic -------------------------------------------------------------
 
@@ -75,9 +79,20 @@ class SchedulerCounters:
     def _suffix(self, txn: Transaction) -> str:
         return "ro" if txn.is_read_only else "rw"
 
+    def _note(self, family: str, suffix: str, kind: str = "") -> None:
+        """Bump ``family.suffix`` and, for a non-empty ``kind``,
+        ``family.suffix.kind``."""
+        counters = self._canonical.get((family, suffix, kind))
+        if counters is None:
+            names = [f"{family}.{suffix}"] + ([f"{family}.{suffix}.{kind}"] if kind else [])
+            counters = tuple(self.registry.counter(name) for name in names)
+            self._canonical[family, suffix, kind] = counters
+        for counter in counters:
+            counter.value += 1
+
     def note_begin(self, txn: Transaction) -> None:
         suffix = self._suffix(txn)
-        self.bump(f"begin.{suffix}")
+        self._note("begin", suffix)
         if self.tracer.enabled:
             # Root of the transaction's span tree: one fresh trace per
             # transaction, every later span (lock wait, courier hop, 2PC
@@ -96,15 +111,14 @@ class SchedulerCounters:
 
     def note_commit(self, txn: Transaction) -> None:
         suffix = self._suffix(txn)
-        self.bump(f"commit.{suffix}")
+        self._note("commit", suffix)
         if self.tracer.enabled:
             self.tracer.emit("txn.commit", txn=txn.txn_id, cls=suffix, tn=txn.tn)
         self._end_txn_span(txn, ok=True)
 
     def note_abort(self, txn: Transaction, reason: AbortReason, caused_by_readonly: bool) -> None:
         suffix = self._suffix(txn)
-        self.bump(f"abort.{suffix}")
-        self.bump(f"abort.{suffix}.{reason.value}")
+        self._note("abort", suffix, reason.value)
         if caused_by_readonly and not txn.is_read_only:
             self.bump("abort.rw.caused_by_readonly")
         if self.tracer.enabled:
@@ -120,24 +134,20 @@ class SchedulerCounters:
     def note_cc_interaction(self, txn: Transaction, kind: str = "op") -> None:
         """One call into the concurrency-control component for ``txn``."""
         suffix = self._suffix(txn)
-        self.bump(f"cc.{suffix}")
-        self.bump(f"cc.{suffix}.{kind}")
+        self._note("cc", suffix, kind)
         if self.tracer.enabled:
             self.tracer.emit("cc.call", txn=txn.txn_id, cls=suffix, kind=kind)
 
     def note_vc_interaction(self, txn: Transaction, kind: str) -> None:
         """One call into the version-control component for ``txn``."""
         suffix = self._suffix(txn)
-        self.bump(f"vc.{suffix}")
-        self.bump(f"vc.{suffix}.{kind}")
+        self._note("vc", suffix, kind)
         if self.tracer.enabled:
             self.tracer.emit("vc.call", txn=txn.txn_id, cls=suffix, kind=kind)
 
     def note_block(self, txn: Transaction, cause: str = "") -> None:
         suffix = self._suffix(txn)
-        self.bump(f"block.{suffix}")
-        if cause:
-            self.bump(f"block.{suffix}.{cause}")
+        self._note("block", suffix, cause)
         if self.tracer.enabled:
             self.tracer.emit("txn.block", txn=txn.txn_id, cls=suffix, cause=cause)
 
@@ -149,8 +159,7 @@ class SchedulerCounters:
         read-only transactions abort writers.  EXP-A counts these.
         """
         suffix = self._suffix(txn)
-        self.bump(f"syncwrite.{suffix}")
-        self.bump(f"syncwrite.{suffix}.{kind}")
+        self._note("syncwrite", suffix, kind)
         if self.tracer.enabled:
             self.tracer.emit("txn.syncwrite", txn=txn.txn_id, cls=suffix, kind=kind)
 

@@ -99,7 +99,7 @@ class VersionControlledScheduler(Scheduler):
             self.counters.note_commit(txn)
             self.recorder.record_commit(txn)
             self._finish(txn)
-            return resolved(None, label=f"commit RO T{txn.txn_id}")
+            return resolved(None, "commit RO T{}", txn.txn_id)
         return self._rw_commit(txn)
 
     def abort(self, txn: Transaction, reason: AbortReason = AbortReason.USER_REQUESTED) -> None:
@@ -142,7 +142,7 @@ class VersionControlledScheduler(Scheduler):
         version = self.store.read_snapshot(key, txn.sn)
         txn.record_read(key, version.tn)
         self.recorder.record_read(txn, key, version.tn)
-        return resolved(version.value, label=f"r{txn.txn_id}[{key}_{version.tn}]")
+        return resolved(version.value, "r{}[{}_{}]", txn.txn_id, key, version.tn)
 
     # -- read-write hooks (the concurrency-control side) ----------------------------
 

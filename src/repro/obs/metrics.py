@@ -106,7 +106,8 @@ class Histogram:
     def record(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"histogram {self.name} cannot record negative {value}")
-        self._buckets[self._index(value)] = self._buckets.get(self._index(value), 0) + 1
+        index = self._index(value)
+        self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
         if value < self.minimum:

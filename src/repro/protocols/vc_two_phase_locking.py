@@ -29,7 +29,7 @@ from typing import Any, Hashable
 
 from repro.cc.lock_manager import LockManager
 from repro.cc.locks import LockMode
-from repro.core.futures import OpFuture, resolved
+from repro.core.futures import OpFuture, OpStatus, resolved
 from repro.core.transaction import SN_INFINITY, Transaction
 from repro.core.vc_scheduler import VersionControlledScheduler
 from repro.core.version_control import VersionControl
@@ -66,47 +66,60 @@ class VC2PLScheduler(VersionControlledScheduler):
 
     def _rw_read(self, txn: Transaction, key: Hashable) -> OpFuture:
         self.counters.note_cc_interaction(txn, "r-lock")
-        result = OpFuture(label=f"r{txn.txn_id}[{key}]")
         lock = self.locks.acquire(
             txn.txn_id, key, LockMode.SHARED, deadline=txn.meta.get("qos.deadline")
         )
+        if lock.status is OpStatus.RESOLVED:
+            # Granted on the spot: read now and answer with a settled future.
+            return resolved(self._locked_read(txn, key), "r{}[{}]", txn.txn_id, key)
+        result = OpFuture("r{}[{}]", txn.txn_id, key)
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
-                return
-            if key in txn.write_set:
-                # Own staged write: visible to the writer itself.
-                txn.record_read(key, -1)
-                self.recorder.record_read(txn, key, None)  # fixed up at flush
-                result.resolve(txn.write_set[key])
-                return
-            version = self.store.read_latest_committed(key)
-            txn.record_read(key, version.tn)
-            self.recorder.record_read(txn, key, version.tn)
-            result.resolve(version.value)
+            else:
+                result.resolve(self._locked_read(txn, key))
 
         lock.add_callback(_locked)
         return result
+
+    def _locked_read(self, txn: Transaction, key: Hashable) -> Any:
+        """The read itself, once the S lock is held."""
+        if key in txn.write_set:
+            # Own staged write: visible to the writer itself.
+            txn.record_read(key, -1)
+            self.recorder.record_read(txn, key, None)  # fixed up at flush
+            return txn.write_set[key]
+        version = self.store.read_latest_committed(key)
+        txn.record_read(key, version.tn)
+        self.recorder.record_read(txn, key, version.tn)
+        return version.value
 
     def _rw_write(self, txn: Transaction, key: Hashable, value: Any) -> OpFuture:
         self.counters.note_cc_interaction(txn, "w-lock")
-        result = OpFuture(label=f"w{txn.txn_id}[{key}]")
         lock = self.locks.acquire(
             txn.txn_id, key, LockMode.EXCLUSIVE, deadline=txn.meta.get("qos.deadline")
         )
+        if lock.status is OpStatus.RESOLVED:
+            self._locked_write(txn, key, value)
+            return resolved(None, "w{}[{}]", txn.txn_id, key)
+        result = OpFuture("w{}[{}]", txn.txn_id, key)
 
         def _locked(done: OpFuture) -> None:
             if done.failed:
                 self._deadlock_abort(txn, done.error, result)
-                return
-            # "create y_j with version phi" — staged privately until commit.
-            txn.record_write(key, value)
-            self.recorder.record_write(txn, key)
-            result.resolve(None)
+            else:
+                self._locked_write(txn, key, value)
+                result.resolve(None)
 
         lock.add_callback(_locked)
         return result
+
+    def _locked_write(self, txn: Transaction, key: Hashable, value: Any) -> None:
+        """The write itself, once the X lock is held: "create y_j with
+        version phi" — staged privately until commit."""
+        txn.record_write(key, value)
+        self.recorder.record_write(txn, key)
 
     def _rw_commit(self, txn: Transaction) -> OpFuture:
         # end(T): the transaction has finished its execution phase; every
@@ -125,7 +138,7 @@ class VC2PLScheduler(VersionControlledScheduler):
         self.locks.release_all(txn.txn_id)
         self.counters.note_vc_interaction(txn, "complete")
         self.vc.vc_complete(txn)
-        return resolved(None, label=f"commit T{txn.txn_id}")
+        return resolved(None, "commit T{}", txn.txn_id)
 
     def _rw_abort(self, txn: Transaction, reason: AbortReason) -> None:
         # Staged writes are private; discarding them destroys the versions.

@@ -13,8 +13,20 @@ Processes are plain generators.  A process yields:
   yield expression evaluates to the future's value, or the future's failure
   exception is thrown into the generator at the suspension point.
 
-Resumptions are *scheduled*, never run inline from a future callback, so
-scheduler internals are not re-entered while they resolve futures.
+A resumption is never run from a future callback: a future that settles
+while its process waits queues the resumption, so scheduler internals are
+not re-entered while they resolve futures.  A resumption that the event
+queue would pop next anyway runs inline, in the same ``_step`` loop, with
+no trip through the heap:
+
+* a yielded future that is already settled, when no queued event is due at
+  the current time;
+* a delay ``d``, when the queue is empty or its earliest event is strictly
+  later than ``now + d``, and ``now + d`` does not pass ``run(until=...)``.
+
+Each inline resumption still counts in ``events_dispatched``, so dispatch
+order, same-time FIFO order and event counts are exactly those of routing
+every resumption through the queue.
 """
 
 from __future__ import annotations
@@ -63,8 +75,12 @@ class Simulator:
         self._sequence = itertools.count()
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self.processes: list[Process] = []
-        #: Total events dispatched (a determinism fingerprint for tests).
+        #: Total events dispatched, inline resumptions included (a
+        #: determinism fingerprint for tests).
         self.events_dispatched = 0
+        #: The ``until`` of the ``run`` in progress: no inline resumption
+        #: may pass it.
+        self._until: float | None = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- scheduling primitives -------------------------------------------------
@@ -94,49 +110,64 @@ class Simulator:
         value: Any,
         error: BaseException | None,
     ) -> None:
-        """Advance a process by one yield."""
+        """Advance a process, yield after yield, while its next resumption
+        would be the very next event anyway (see the module docs)."""
         if process.finished:  # pragma: no cover - defensive
             return
-        try:
-            if error is not None:
-                yielded = process.generator.throw(error)
-            else:
-                yielded = process.generator.send(value)
-        except StopIteration as stop:
-            process.finished = True
-            process.result = stop.value
-            if self.tracer.enabled:
-                self.tracer.emit("sim.process.end", process=process.name)
-            return
-        except BaseException as exc:  # noqa: BLE001 - report, do not mask
-            process.finished = True
-            process.error = exc
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "sim.process.error", process=process.name, error=type(exc).__name__
-                )
-            raise
-        self._handle_yield(process, yielded)
-
-    def _handle_yield(self, process: Process, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            if yielded < 0:
-                raise SimError(f"process {process.name} yielded negative delay")
-            self.call_in(float(yielded), lambda: self._step(process, None, None))
-            return
-        if isinstance(yielded, OpFuture):
-            def _on_settle(future: OpFuture) -> None:
-                # Resume via the event queue (same timestamp), never inline.
-                if future.failed:
-                    self.call_in(0.0, lambda: self._step(process, None, future.error))
+        generator = process.generator
+        heap = self._heap
+        while True:
+            try:
+                if error is not None:
+                    yielded = generator.throw(error)
                 else:
-                    self.call_in(0.0, lambda: self._step(process, future.result(), None))
+                    yielded = generator.send(value)
+            except StopIteration as stop:
+                process.finished = True
+                process.result = stop.value
+                if self.tracer.enabled:
+                    self.tracer.emit("sim.process.end", process=process.name)
+                return
+            except BaseException as exc:  # noqa: BLE001 - report, do not mask
+                process.finished = True
+                process.error = exc
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        "sim.process.error", process=process.name, error=type(exc).__name__
+                    )
+                raise
+            if isinstance(yielded, OpFuture):
+                if yielded.pending:
+                    yielded.add_callback(lambda future: self._resume_settled(process, future))
+                    return
+                if heap and heap[0][0] <= self.now:
+                    self._resume_settled(process, yielded)
+                    return
+                value, error = (None, yielded.error) if yielded.failed else (yielded.result(), None)
+            elif isinstance(yielded, (int, float)):
+                if yielded < 0:
+                    raise SimError(f"process {process.name} yielded negative delay")
+                when = self.now + float(yielded)
+                if (heap and heap[0][0] <= when) or (
+                    self._until is not None and when > self._until
+                ):
+                    self.call_at(when, lambda: self._step(process, None, None))
+                    return
+                self.now = when
+                value = error = None
+            else:
+                raise SimError(
+                    f"process {process.name} yielded {yielded!r}; expected a delay or an OpFuture"
+                )
+            self.events_dispatched += 1
 
-            yielded.add_callback(_on_settle)
-            return
-        raise SimError(
-            f"process {process.name} yielded {yielded!r}; expected a delay or an OpFuture"
-        )
+    def _resume_settled(self, process: Process, future: OpFuture) -> None:
+        """Queue the resumption of ``process`` with the settled ``future``'s
+        outcome at the current time."""
+        if future.failed:
+            self.call_in(0.0, lambda: self._step(process, None, future.error))
+        else:
+            self.call_in(0.0, lambda: self._step(process, future.result(), None))
 
     # -- running ------------------------------------------------------------------------
 
@@ -147,14 +178,18 @@ class Simulator:
         queue drains simply stay suspended (their futures never settled) —
         callers can inspect ``processes`` to detect them.
         """
-        while self._heap:
-            when, _seq, fn = self._heap[0]
-            if until is not None and when > until:
-                break
-            heapq.heappop(self._heap)
-            self.now = when
-            self.events_dispatched += 1
-            fn()
+        self._until = until
+        try:
+            while self._heap:
+                when, _seq, fn = self._heap[0]
+                if until is not None and when > until:
+                    break
+                heapq.heappop(self._heap)
+                self.now = when
+                self.events_dispatched += 1
+                fn()
+        finally:
+            self._until = None
         if until is not None and self.now < until:
             self.now = until
         return self.now

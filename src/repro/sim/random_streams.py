@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 
 
 class RandomStreams:
@@ -55,7 +56,4 @@ class ZipfGenerator:
         self._cumulative = cumulative
 
     def draw(self) -> int:
-        from bisect import bisect_left
-
-        u = self._rng.random()
-        return bisect_left(self._cumulative, u)
+        return bisect_left(self._cumulative, self._rng.random())

@@ -4,16 +4,20 @@ Each database object owns a list of :class:`~repro.storage.version.Version`
 records kept sorted by version number.  Appends dominate (transaction numbers
 are assigned in serialization order), but Reed's MVTO may legally insert a
 version *between* existing ones, so insertion uses bisect rather than assuming
-append-only.
+append-only.  Every lookup bisects the chain itself, keyed on each version's
+number, so a lookup costs O(log chain) with nothing rebuilt per call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Any, Hashable, Iterator
 
 from repro.errors import ProtocolError, VersionNotFound
 from repro.storage.version import Version
+
+_TN = attrgetter("tn")
 
 
 class VersionedObject:
@@ -35,8 +39,12 @@ class VersionedObject:
 
     # -- ordering helpers -----------------------------------------------------
 
-    def _tns(self) -> list[int]:
-        return [v.tn for v in self._versions]
+    def _position(self, tn: float) -> int:
+        """Index of the largest version with number ``<= tn`` (-1 if none)."""
+        versions = self._versions
+        if versions and versions[-1].tn <= tn:  # the newest: appends dominate
+            return len(versions) - 1
+        return bisect_right(versions, tn, key=_TN) - 1
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -73,7 +81,7 @@ class VersionedObject:
             VersionNotFound: every retained version is younger than ``bound``
                 (the garbage-collection failure mode the paper notes).
         """
-        idx = bisect_right(self._tns(), bound) - 1
+        idx = self._position(bound)
         if idx < 0:
             raise VersionNotFound(self.key, bound)
         return self._versions[idx]
@@ -86,7 +94,7 @@ class VersionedObject:
         read never needs to skip pending versions; baselines without that
         guarantee do.
         """
-        idx = bisect_right(self._tns(), bound) - 1
+        idx = self._position(bound)
         while idx >= 0 and self._versions[idx].pending:
             idx -= 1
         if idx < 0:
@@ -111,21 +119,25 @@ class VersionedObject:
         transaction numbers are unique, so this always indicates a protocol
         bug (e.g. double install at commit).
         """
-        tns = self._tns()
-        pos = bisect_right(tns, tn)
-        if pos > 0 and tns[pos - 1] == tn:
+        versions = self._versions
+        pos = bisect_right(versions, tn, key=_TN)
+        if pos > 0 and versions[pos - 1].tn == tn:
             raise ProtocolError(f"object {self.key!r} already has version {tn}")
         version = Version(tn, value, pending=pending, creator_txn_id=creator_txn_id)
-        insort(self._versions, version, key=lambda v: v.tn)
+        versions.insert(pos, version)
         return version
+
+    def _index(self, tn: int) -> int:
+        """Index of the version numbered exactly ``tn`` (-1 if none)."""
+        pos = self._position(tn)
+        if pos >= 0 and self._versions[pos].tn == tn:
+            return pos
+        return -1
 
     def find(self, tn: int) -> Version | None:
         """The version numbered exactly ``tn``, or None."""
-        tns = self._tns()
-        pos = bisect_right(tns, tn) - 1
-        if pos >= 0 and tns[pos] == tn:
-            return self._versions[pos]
-        return None
+        pos = self._index(tn)
+        return self._versions[pos] if pos >= 0 else None
 
     def commit_pending(self, tn: int) -> Version:
         """Clear the pending flag of version ``tn`` (writer committed)."""
@@ -139,10 +151,10 @@ class VersionedObject:
 
     def remove(self, tn: int) -> None:
         """Remove version ``tn`` (writer aborted; its versions are destroyed)."""
-        version = self.find(tn)
-        if version is None:
+        pos = self._index(tn)
+        if pos < 0:
             raise ProtocolError(f"object {self.key!r} has no version {tn} to remove")
-        self._versions.remove(version)
+        del self._versions[pos]
 
     # -- read timestamps -----------------------------------------------------------
 
@@ -169,7 +181,7 @@ class VersionedObject:
         the guard holds even for callers with looser horizons.  Returns the
         number of versions discarded.
         """
-        idx = bisect_right(self._tns(), horizon) - 1
+        idx = self._position(horizon)
         # Never collect the version that still serves reads at the horizon,
         # nor any pending version (its writer's fate is undecided).
         for pos, version in enumerate(self._versions):

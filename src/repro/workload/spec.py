@@ -87,9 +87,16 @@ class WorkloadGenerator:
         self._zipf = ZipfGenerator(
             spec.n_objects, spec.zipf_theta, self.streams.stream("keys")
         )
+        # Key strings by index, each formatted on its first draw: building
+        # all ``n_objects`` of them up front would make set-up O(n_objects).
+        self._keys: dict[int, str] = {}
 
     def _key(self) -> str:
-        return f"o{self._zipf.draw()}"
+        index = self._zipf.draw()
+        key = self._keys.get(index)
+        if key is None:
+            key = self._keys[index] = f"o{index}"
+        return key
 
     def _distinct_keys(self, count: int) -> list[str]:
         """Up to ``count`` distinct keys (the Section 3 model allows at most
