@@ -65,6 +65,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.obs.slo.objectives import Objective, WindowVerdict
@@ -75,6 +76,53 @@ SLO_SCHEMA = "repro.slo/1"
 #: More empty windows than this between two events is fast-forwarded as a
 #: seam instead of closed one by one (guards pathological window widths).
 _GAP_LIMIT = 4096
+
+#: The route table for events sampled without pairing state: event name ->
+#: ``(field, signal)`` rules, each sampling ``fields[field]`` into ``signal``
+#: (a count of 1.0 when ``field`` is None; no sample when the field is absent).
+SIGNAL_RULES: dict[str, tuple[tuple[str | None, str], ...]] = {
+    "qos.shed": ((None, "shed.rw"),),
+    "slo.ro_shed": ((None, "shed.ro"),),
+    "vc.register": (("lag", "vc.lag"),),
+    "vc.advance": (("lag", "vc.lag"),),
+    "vc.discard": (("lag", "vc.lag"),),
+    "qos.ro_snapshot": (("staleness", "staleness.ro"),),
+    "replica.ro_snapshot": (("staleness", "staleness.ro"),),
+    "replica.watermark": (("staleness", "staleness.replica"),),
+    "replica.lag": (("lag", "replica.lag"),),
+    "gc.sweep": (
+        ("live_versions", "gc.live_versions"),
+        ("max_chain", "gc.max_chain"),
+        ("scanned", "gc.scanned"),
+        ("interior", "gc.interior"),
+    ),
+    "snapshot.revoked": ((None, "snapshot.revoked"),),
+    "avail.outage": (("duration", "avail.outage"),),
+    "quorum.fenced": ((None, "quorum.fenced"),),
+    "quorum.indeterminate": ((None, "quorum.indeterminate"),),
+    "shard.snapshot": (("staleness", "shard.staleness"),),
+    "shard.commit": (("queue", "shard.vc_lag"),),
+    "shard.ro_blocked": ((None, "shard.ro_blocked"),),
+    "shard.vector_inconsistent": ((None, "shard.vector_inconsistent"),),
+    "shard.failover": ((None, "shard.failover"),),
+    "shard.outage": (("duration", "shard.outage"),),
+}
+
+#: Events whose signals pair them with earlier ones (begin -> commit
+#: latency, the live lock-blocked set), read by ``_txn_event``/``_lock_event``.
+_TXN_EVENTS = frozenset(("txn.begin", "txn.commit", "txn.abort", "txn.block"))
+_LOCK_EVENTS = frozenset(("lock.block", "lock.grant"))
+
+#: Every signal the engine derives: the pairing handlers' per-class signals,
+#: the live lock-wait depth, and each ``SIGNAL_RULES`` signal.
+SIGNALS = frozenset(
+    f"{kind}.{cls}"
+    for kind in ("latency", "blocked", "begin", "commit", "abort")
+    for cls in ("ro", "rw")
+).union(
+    ("lock.wait_depth",),
+    (signal for rules in SIGNAL_RULES.values() for _field, signal in rules),
+)
 
 
 @dataclass
@@ -134,13 +182,7 @@ class SLOEngine:
         bundle_prefix: str = "slo",
         counters_source: Callable[[], dict] | None = None,
         max_bundles: int = 8,
-        extra_signals: dict[str, tuple[str, str]] | None = None,
     ):
-        """``extra_signals`` maps an event name to ``(field, signal)`` so a
-        campaign can route ad-hoc events into objectives without touching
-        the engine (e.g. ``{"replica.lag": ("lag", "replica.lag")}`` is
-        built in; a new subsystem can add its own).
-        """
         if window <= 0:
             raise ValueError("window width must be > 0")
         self.objectives = list(objectives)
@@ -164,118 +206,77 @@ class SLOEngine:
             for signal in objective.signals:
                 self._routes.setdefault(signal, []).append(objective)
         self._states = {o.name: _ObjectiveState() for o in self.objectives}
-        self._extra = dict(extra_signals or {})
+        #: Event name -> its resolved handler (``None``: nothing to read).
+        self._handlers: dict[str, Callable[[float, dict[str, Any]], None] | None] = {}
         self._begin_ts: dict[Any, float] = {}
         self._begin_cls: dict[Any, str] = {}
         self._lock_blocked: set[Any] = set()
         self._win: int | None = None
         self._last_ts = -math.inf
 
-    # -- exporter / replay surface -------------------------------------------------
+    # -- event processing ----------------------------------------------------------
 
-    def export(self, event: TraceEvent) -> None:
-        """Live path: called by the tracer for every emitted event."""
-        record = event.to_dict() if self.recorder is not None else None
-        self._process(event.name, event.ts, event.fields, record)
+    def _process(self, event: TraceEvent, record: dict[str, Any] | None = None) -> None:
+        """One event, live or replayed.  ``record`` is what the flight
+        recorder keeps (default: the event's flat dict form)."""
+        if self.finished:
+            return
+        ts = event.ts
+        self.events_seen += 1
+        if ts != self._last_ts:  # a repeated timestamp cannot move a window
+            self._advance(ts)
+        if self.recorder is not None:
+            self.recorder.record(event.to_dict() if record is None else record)
+        name = event.name
+        try:
+            handler = self._handlers[name]
+        except KeyError:
+            handler = self._handlers[name] = self._route(name)
+        if handler is not None:
+            handler(ts, event.fields)
+
+    #: Live path: the tracer hands every emitted event to ``_process``.
+    export = _process
 
     def ingest(self, event: dict[str, Any]) -> None:
         """Replay path: one decoded JSONL trace line."""
         name = event.get("name")
         if name is None:
             return
-        ts = float(event.get("ts", 0.0))
-        record = event if self.recorder is not None else None
-        self._process(name, ts, event, record)
+        self._process(TraceEvent(name, float(event.get("ts", 0.0)), event), event)
 
     def close(self) -> None:
         """Tracer-close hook: finish evaluation (idempotent)."""
         self.finish()
 
-    # -- event processing ----------------------------------------------------------
+    def _route(self, name: str) -> Callable[[float, dict[str, Any]], None] | None:
+        """Resolve what this engine reads from events named ``name``: a
+        pairing handler, the ``SIGNAL_RULES`` row narrowed to signals some
+        objective subscribes to, or ``None`` (nothing to read)."""
+        if name in _TXN_EVENTS:
+            return partial(self._txn_event, name)
+        if name in _LOCK_EVENTS:
+            if "lock.wait_depth" not in self._routes:
+                return None  # the lock-blocked set feeds only that signal
+            return partial(self._lock_event, name)
+        rules = tuple(
+            (field, signal, self._routes[signal])
+            for field, signal in SIGNAL_RULES.get(name, ())
+            if signal in self._routes
+        )
+        return partial(self._sample, rules) if rules else None
 
-    def _process(
+    def _sample(
         self,
-        name: str,
+        rules: tuple[tuple[str | None, str, list[Objective]], ...],
         ts: float,
         fields: dict[str, Any],
-        record: dict[str, Any] | None,
     ) -> None:
-        if self.finished:
-            return
-        self.events_seen += 1
-        self._advance(ts)
-        if record is not None:
-            self.recorder.record(record)
-        if name.startswith("txn."):
-            self._txn_event(name, ts, fields)
-        elif name == "qos.shed":
-            self._signal("shed.rw", 1.0)
-        elif name == "slo.ro_shed":
-            self._signal("shed.ro", 1.0)
-        elif name in ("vc.register", "vc.advance", "vc.discard"):
-            lag = fields.get("lag")
-            if lag is not None:
-                self._signal("vc.lag", lag)
-        elif name in ("qos.ro_snapshot", "replica.ro_snapshot"):
-            staleness = fields.get("staleness")
-            if staleness is not None:
-                self._signal("staleness.ro", staleness)
-        elif name == "replica.watermark":
-            staleness = fields.get("staleness")
-            if staleness is not None:
-                self._signal("staleness.replica", staleness)
-        elif name == "replica.lag":
-            lag = fields.get("lag")
-            if lag is not None:
-                self._signal("replica.lag", lag)
-        elif name.startswith("lock."):
-            self._lock_event(name, fields)
-        elif name == "gc.sweep":
-            live = fields.get("live_versions")
-            if live is not None:
-                self._signal("gc.live_versions", live)
-            chain = fields.get("max_chain")
-            if chain is not None:
-                self._signal("gc.max_chain", chain)
-            scanned = fields.get("scanned")
-            if scanned is not None:
-                self._signal("gc.scanned", scanned)
-            interior = fields.get("interior")
-            if interior is not None:
-                self._signal("gc.interior", interior)
-        elif name == "snapshot.revoked":
-            self._signal("snapshot.revoked", 1.0)
-        elif name == "avail.outage":
-            duration = fields.get("duration")
-            if duration is not None:
-                self._signal("avail.outage", duration)
-        elif name == "quorum.fenced":
-            self._signal("quorum.fenced", 1.0)
-        elif name == "quorum.indeterminate":
-            self._signal("quorum.indeterminate", 1.0)
-        elif name == "shard.snapshot":
-            staleness = fields.get("staleness")
-            if staleness is not None:
-                self._signal("shard.staleness", staleness)
-        elif name == "shard.commit":
-            queue = fields.get("queue")
-            if queue is not None:
-                self._signal("shard.vc_lag", queue)
-        elif name == "shard.ro_blocked":
-            self._signal("shard.ro_blocked", 1.0)
-        elif name == "shard.vector_inconsistent":
-            self._signal("shard.vector_inconsistent", 1.0)
-        elif name == "shard.failover":
-            self._signal("shard.failover", 1.0)
-        elif name == "shard.outage":
-            duration = fields.get("duration")
-            if duration is not None:
-                self._signal("shard.outage", duration)
-        extra = self._extra.get(name)
-        if extra is not None:
-            value = fields.get(extra[0])
+        for field, signal, objectives in rules:
+            value = 1.0 if field is None else fields.get(field)
             if value is not None:
-                self._signal(extra[1], value)
+                for objective in objectives:
+                    objective.observe(signal, value)
 
     def _txn_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")
@@ -300,7 +301,7 @@ class SLOEngine:
         elif name == "txn.block":
             self._signal(f"blocked.{cls}", 1.0)
 
-    def _lock_event(self, name: str, fields: dict[str, Any]) -> None:
+    def _lock_event(self, name: str, ts: float, fields: dict[str, Any]) -> None:
         txn = fields.get("txn")
         if txn is None:
             return

@@ -66,14 +66,28 @@ hide a cycle.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from typing import Any, Iterable
 
 from repro.histories.derive import sg_edge, version_order_edges
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.tracer import TraceEvent
 from repro.obs.witness.topology import IncrementalTopology
 
 REPORT_SCHEMA = "repro.witness/1"
+
+#: Event name -> handler method; other ``history.*`` names are only counted,
+#: every ``vc.*`` name carries counters, anything else is not read.
+_HANDLERS = {
+    "history.begin": "_on_begin",
+    "history.read": "_on_read",
+    "history.write": "_on_write",
+    "history.commit": "_on_commit",
+    "history.abort": "_on_abort",
+    "dvc.advance": "_on_dvc_advance",
+    "replica.watermark": "_on_replica_watermark",
+    "replica.ack": "_on_replica_watermark",
+    "replica.promote": "_on_promote",
+}
 
 
 def _norm_key(key: Any) -> Any:
@@ -183,6 +197,8 @@ class WitnessEngine:
         self.pre_roll = pre_roll
         self.max_violations = max_violations
         self.finished = False
+        #: Event name -> its resolved handler (``None``: not read).
+        self._handlers: dict[str, Any] = {}
 
         self._reset_stream_state()
 
@@ -226,6 +242,9 @@ class WitnessEngine:
         #: Per-key sorted list of committed, still-readable writer idents
         #: (active nodes and sealed-but-readable frontier versions).
         self._writers: dict[Any, list[int]] = {}
+        #: Keys with two or more readable writers: the only ones a prune
+        #: pass can shorten.
+        self._multi_version: set[Any] = set()
         #: Sealed writers whose versions are still readable; T0 pre-sealed.
         self._sealed_readable: set[int] = {0}
         #: Keys a sealed-readable writer still appears under (prune state).
@@ -235,8 +254,9 @@ class WitnessEngine:
         self._rf_pairs: dict[Any, set[tuple[int, int]]] = {}
         #: version tn -> [(reader ident, key)] awaiting the writer's commit.
         self._pending: dict[int, list[tuple[int, Any]]] = {}
-        #: Versions currently being read by live transactions, per key.
-        self._live_reads: dict[Any, Counter] = {}
+        #: Versions currently being read by live transactions, per key:
+        #: version -> count of live reads.
+        self._live_reads: dict[Any, dict[int, int]] = {}
         # Frontier summary of the sealed/pruned prefix.
         self._max_pruned: dict[Any, int] = {}
         self._pruned_writer_count: dict[Any, int] = {}
@@ -268,20 +288,37 @@ class WitnessEngine:
         self._segment_events = 0
         self._reset_stream_state()
 
-    # -- exporter surface ----------------------------------------------------
+    # -- event processing -----------------------------------------------------
 
-    def export(self, event: Any) -> None:
-        """Live path: called by the tracer for every emitted event."""
-        record = event.to_dict() if self.flight is not None else None
-        self._process(event.name, event.ts, event.fields, record)
+    def _process(self, event: TraceEvent, record: dict[str, Any] | None = None) -> None:
+        """One event, live or replayed.  ``record`` is what the flight
+        recorder keeps (default: the event's flat dict form)."""
+        if self.finished:
+            return
+        ts = event.ts
+        if ts < self._last_ts and self._segment_events:
+            self._rollover()
+        if self.flight is not None:
+            self.flight.record(event.to_dict() if record is None else record)
+        self._last_ts = ts
+        self._segment_events += 1
+        name = event.name
+        try:
+            handler = self._handlers[name]
+        except KeyError:
+            handler = self._handlers[name] = self._route(name)
+        if handler is not None:
+            handler(ts, event.fields)
+
+    #: Live path: the tracer hands every emitted event to ``_process``.
+    export = _process
 
     def ingest(self, event: dict[str, Any]) -> None:
         """Replay path: one decoded JSONL trace line."""
         name = event.get("name")
         if name is None:
             return
-        ts = float(event.get("ts", 0.0))
-        self._process(name, ts, event, event if self.flight is not None else None)
+        self._process(TraceEvent(name, float(event.get("ts", 0.0)), event), event)
 
     def close(self) -> None:
         """Tracer-close hook: finish certification (idempotent)."""
@@ -295,65 +332,49 @@ class WitnessEngine:
         self.finished = True
         self.pending_unresolved += sum(len(v) for v in self._pending.values())
 
-    # -- event processing -----------------------------------------------------
-
-    def _process(
-        self,
-        name: str,
-        ts: float,
-        fields: dict[str, Any],
-        record: dict[str, Any] | None = None,
-    ) -> None:
-        if self.finished:
-            return
-        if ts < self._last_ts and self._segment_events:
-            self._rollover()
-        if record is not None:
-            self.flight.record(record)
-        self._last_ts = ts
-        self._segment_events += 1
+    def _route(self, name: str) -> Any:
+        """Resolve the handler of events named ``name`` (``None``: not read)."""
+        handler = _HANDLERS.get(name)
+        if handler is not None:
+            return getattr(self, handler)
         if name.startswith("history."):
-            self.events_seen += 1
-            txn = fields.get("txn")
-            if name == "history.begin":
-                self._on_begin(txn, fields.get("cls", "rw"), ts)
-            elif name == "history.read":
-                self._on_read(txn, _norm_key(fields.get("key")), fields.get("version"))
-            elif name == "history.write":
-                self._on_write(txn, _norm_key(fields.get("key")))
-            elif name == "history.commit":
-                self._on_commit(txn, fields.get("ident"), fields.get("tn"), ts)
-            elif name == "history.abort":
-                self._on_abort(txn, fields.get("tn"), fields.get("ident"), ts)
-        elif name.startswith("vc."):
+            return self._on_history  # counted, otherwise ignored
+        if name.startswith("vc."):
+            return self._on_vc
+        return None
+
+    def _on_vc(self, ts: float, fields: dict[str, Any]) -> None:
+        tnc = fields.get("tnc")
+        vtnc = fields.get("vtnc")
+        if tnc is not None:
+            self._vc_seen = True
+            self._tnc = max(self._tnc, int(tnc))
+        if vtnc is not None:
+            self._vtnc = max(self._vtnc, int(vtnc))
+
+    def _on_dvc_advance(self, ts: float, fields: dict[str, Any]) -> None:
+        site = fields.get("site")
+        if site is not None:
+            vtnc = fields.get("vtnc")
+            if vtnc is not None and int(vtnc) > self._site_vtnc.get(site, -1):
+                self._site_vtnc[site] = int(vtnc)
             tnc = fields.get("tnc")
-            vtnc = fields.get("vtnc")
-            if tnc is not None:
-                self._vc_seen = True
-                self._tnc = max(self._tnc, int(tnc))
-            if vtnc is not None:
-                self._vtnc = max(self._vtnc, int(vtnc))
-        elif name == "dvc.advance":
-            site = fields.get("site")
-            if site is not None:
-                vtnc = fields.get("vtnc")
-                if vtnc is not None and int(vtnc) > self._site_vtnc.get(site, -1):
-                    self._site_vtnc[site] = int(vtnc)
-                tnc = fields.get("tnc")
-                if tnc is not None and int(tnc) > self._site_tnc.get(site, -1):
-                    self._site_tnc[site] = int(tnc)
-        elif name in ("replica.watermark", "replica.ack"):
-            rid = fields.get("replica")
-            vtnc = fields.get("vtnc")
-            if rid is not None and vtnc is not None:
-                self._replica_vtnc[rid] = int(vtnc)
-        elif name == "replica.promote":
-            # The chosen replica becomes the primary; its watermark now
-            # arrives through the new primary's vc.* events.
-            self._replica_vtnc.pop(fields.get("replica"), None)
-            vtnc = fields.get("vtnc")
-            if vtnc is not None:
-                self._rebase(int(vtnc))
+            if tnc is not None and int(tnc) > self._site_tnc.get(site, -1):
+                self._site_tnc[site] = int(tnc)
+
+    def _on_replica_watermark(self, ts: float, fields: dict[str, Any]) -> None:
+        rid = fields.get("replica")
+        vtnc = fields.get("vtnc")
+        if rid is not None and vtnc is not None:
+            self._replica_vtnc[rid] = int(vtnc)
+
+    def _on_promote(self, ts: float, fields: dict[str, Any]) -> None:
+        # The chosen replica becomes the primary; its watermark now
+        # arrives through the new primary's vc.* events.
+        self._replica_vtnc.pop(fields.get("replica"), None)
+        vtnc = fields.get("vtnc")
+        if vtnc is not None:
+            self._rebase(int(vtnc))
 
     # -- floors ----------------------------------------------------------------
 
@@ -436,6 +457,8 @@ class WitnessEngine:
                     index = bisect_left(writers, ident)
                     if index < len(writers) and writers[index] == ident:
                         del writers[index]
+                    if len(writers) < 2:
+                        self._multi_version.discard(key)
                     if not writers:
                         del self._writers[key]
                 pairs = self._rf_pairs.get(key)
@@ -478,26 +501,40 @@ class WitnessEngine:
 
     # -- transaction lifecycle -------------------------------------------------
 
-    def _on_begin(self, txn: int, cls: str, ts: float) -> None:
+    def _on_history(self, ts: float, fields: dict[str, Any]) -> None:
+        self.events_seen += 1
+
+    def _on_begin(self, ts: float, fields: dict[str, Any]) -> None:
+        self.events_seen += 1
+        txn = fields.get("txn")
         if txn is None or txn in self._tokens:
             return
+        cls = fields.get("cls", "rw")
         self._tokens[txn] = _Token(txn, cls, self._begin_floor(cls), ts)
         self.peak_live = max(self.peak_live, len(self._tokens))
         self._note_peak()
 
-    def _on_read(self, txn: int, key: Any, version: Any) -> None:
-        token = self._tokens.get(txn)
+    def _on_read(self, ts: float, fields: dict[str, Any]) -> None:
+        self.events_seen += 1
+        token = self._tokens.get(fields.get("txn"))
         if token is None:
             return
+        key = _norm_key(fields.get("key"))
+        version = fields.get("version")
         version = None if version is None else int(version)
         token.reads.append((key, version))
         if version is not None:
-            self._live_reads.setdefault(key, Counter())[version] += 1
+            live = self._live_reads.get(key)
+            if live is None:
+                self._live_reads[key] = {version: 1}
+            else:
+                live[version] = live.get(version, 0) + 1
 
-    def _on_write(self, txn: int, key: Any) -> None:
-        token = self._tokens.get(txn)
+    def _on_write(self, ts: float, fields: dict[str, Any]) -> None:
+        self.events_seen += 1
+        token = self._tokens.get(fields.get("txn"))
         if token is not None:
-            token.writes.append(key)
+            token.writes.append(_norm_key(fields.get("key")))
 
     def _release_token(self, txn: int) -> _Token | None:
         token = self._tokens.pop(txn, None)
@@ -514,7 +551,11 @@ class WitnessEngine:
                         del self._live_reads[key]
         return token
 
-    def _on_abort(self, txn: int, tn: Any, ident: Any, ts: float) -> None:
+    def _on_abort(self, ts: float, fields: dict[str, Any]) -> None:
+        self.events_seen += 1
+        txn = fields.get("txn")
+        tn = fields.get("tn")
+        ident = fields.get("ident")
         self._release_token(txn)
         self.aborted += 1
         if self.track_edges and ident is not None:
@@ -531,7 +572,11 @@ class WitnessEngine:
         if self.seal:
             self._seal_pass()
 
-    def _on_commit(self, txn: int, ident: Any, tn: Any, ts: float) -> None:
+    def _on_commit(self, ts: float, fields: dict[str, Any]) -> None:
+        self.events_seen += 1
+        txn = fields.get("txn")
+        ident = fields.get("ident")
+        tn = fields.get("tn")
         token = self._release_token(txn)
         if ident is None:
             return
@@ -576,7 +621,10 @@ class WitnessEngine:
                 ):
                     edges.append((src, dst, kind, key))
             self.folded_edges += self._sealed_rf_count.get(key, 0)
-            insort(self._writers.setdefault(key, []), ident)
+            writers = self._writers.setdefault(key, [])
+            insort(writers, ident)
+            if len(writers) == 2:
+                self._multi_version.add(key)
 
         # Reads: SG edge + version-order edges against the writers known so
         # far; later writers are covered by the write rule above.
@@ -770,28 +818,22 @@ class WitnessEngine:
     def _prune_pass(self, floor: int) -> None:
         """Drop sealed versions that can never be read again: those with a
         readable successor at or below the floor and no live read at or
-        below them."""
-        for key in list(self._writers):
+        below them.  Only keys with two or more readable writers can lose
+        one, and each key prunes independently of the others."""
+        for key in list(self._multi_version):
             writers = self._writers[key]
             index = bisect_right(writers, floor)
             if index <= 1:
                 continue  # at most one version at/below the floor: keep it
             live = self._live_reads.get(key)
             min_live = min(live) if live else None
-            removed = []
+            removed = 0
             for writer in writers[: index - 1]:
                 if writer not in self._sealed_readable:
                     break  # still active in the graph; derivation needs it
                 if min_live is not None and min_live <= writer:
                     break  # an in-flight read may still resolve against it
-                removed.append(writer)
-            for writer in removed:
-                writers.remove(writer)
-                self._pruned_writer_count[key] = (
-                    self._pruned_writer_count.get(key, 0) + 1
-                )
-                if self._max_pruned.get(key, -1) < writer:
-                    self._max_pruned[key] = writer
+                removed += 1
                 keys = self._sealed_writes.get(writer)
                 if keys is not None:
                     keys.discard(key)
@@ -799,8 +841,16 @@ class WitnessEngine:
                         del self._sealed_writes[writer]
                         self._sealed_readable.discard(writer)
                         self.pruned += 1
-            if not writers:
-                del self._writers[key]
+            if removed:
+                self._pruned_writer_count[key] = (
+                    self._pruned_writer_count.get(key, 0) + removed
+                )
+                self._max_pruned[key] = max(
+                    self._max_pruned.get(key, -1), writers[removed - 1]
+                )
+                del writers[:removed]
+                if len(writers) < 2:
+                    self._multi_version.discard(key)
 
     def _note_peak(self) -> None:
         tracked = len(self._nodes) + len(self._tokens) + len(self._sealed_writes)
@@ -965,6 +1015,10 @@ def witness_history(history: Any, *, seal: bool = False, **kwargs: Any) -> Witne
     from repro.histories.operations import OpKind
 
     engine = WitnessEngine(seal=seal, **kwargs)
+
+    def emit(name: str, ts: float, fields: dict[str, Any]) -> None:
+        engine.export(TraceEvent(name, ts, fields))
+
     ts = 0.0
     begun: set[int] = set()
     for op in history.ops:
@@ -974,26 +1028,26 @@ def witness_history(history: Any, *, seal: bool = False, **kwargs: Any) -> Witne
         cls = "ro" if read_only else "rw"
         if op.kind is not OpKind.BEGIN and ident not in begun:
             begun.add(ident)
-            engine._process("history.begin", ts - 0.5, {"txn": ident, "cls": cls})
+            emit("history.begin", ts - 0.5, {"txn": ident, "cls": cls})
         if op.kind is OpKind.BEGIN:
             begun.add(ident)
-            engine._process("history.begin", ts, {"txn": ident, "cls": cls})
+            emit("history.begin", ts, {"txn": ident, "cls": cls})
         elif op.kind is OpKind.READ:
-            engine._process(
+            emit(
                 "history.read", ts, {"txn": ident, "key": op.key, "version": op.version}
             )
         elif op.kind is OpKind.WRITE:
-            engine._process("history.write", ts, {"txn": ident, "key": op.key})
+            emit("history.write", ts, {"txn": ident, "key": op.key})
         elif op.kind is OpKind.COMMIT:
             tn = None if read_only else ident
-            engine._process(
+            emit(
                 "history.commit",
                 ts,
                 {"txn": ident, "ident": ident, "tn": tn, "cls": cls},
             )
         elif op.kind is OpKind.ABORT:
             tn = ident if not read_only and ident > 0 else None
-            engine._process(
+            emit(
                 "history.abort",
                 ts,
                 {"txn": ident, "ident": ident, "tn": tn, "cls": cls},

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -298,14 +299,60 @@ class TestEngineStream:
             {"name": "vc.advance", "ts": 22.0, "lag": 3},
             {"name": "noop", "ts": 45.0},
         ]
+        now = [0.0]
         live = SLOEngine(default_objectives(), window=10.0)
-        tracer = Tracer(exporters=[live], clock=lambda: 0.0)
+        tracer = Tracer(exporters=[live], clock=lambda: now[0])
         for event in events:
+            now[0] = event["ts"]
             fields = {k: v for k, v in event.items() if k not in ("name", "ts")}
-            live._process(event["name"], event["ts"], fields, None)
-        live.finish()
+            tracer.emit(event["name"], **fields)
+        tracer.close()
         replay = _ingest(SLOEngine(default_objectives(), window=10.0), events)
+        assert live.events_seen == len(events)
         assert live.report() == replay.report()
+
+    def test_live_pipeline_and_ring_replay_agree(self):
+        """A live dvc-2pl run and the replay of its recorded events give
+        the same SLO and witness reports."""
+        from repro.bench.runner import SimConfig, run_simulation
+        from repro.distributed.courier import Courier
+        from repro.distributed.database import DistributedVCDatabase
+        from repro.obs.pipeline import ObsPipeline
+        from repro.obs.witness import WitnessEngine
+        from repro.sim.engine import Simulator
+        from repro.workload.mixes import balanced
+
+        duration = 300.0
+
+        def engines():
+            return (
+                SLOEngine(
+                    bench_objectives(ro_never_blocks=True), window=duration / 16.0
+                ),
+                WitnessEngine(seal=True),
+            )
+
+        sim = Simulator()
+        db = DistributedVCDatabase(n_sites=3, courier=Courier(sim=sim, latency=1.0))
+        slo, witness = engines()
+        pipeline = ObsPipeline(sim=sim, ring=1_000_000, engine=slo, witness=witness)
+        run_simulation(
+            db, balanced(seed=3), SimConfig(duration=duration),
+            tracer=pipeline.tracer, sim=sim,
+        )
+        pipeline.close()
+        assert pipeline.ring.dropped == 0
+        assert witness.committed > 0 and witness.sealed > 0
+
+        replay_slo, replay_witness = engines()
+        for event in pipeline.ring.events():
+            record = event.to_dict()
+            replay_slo.ingest(record)
+            replay_witness.ingest(record)
+        replay_slo.finish()
+        replay_witness.finish()
+        assert replay_slo.report() == slo.report()
+        assert replay_witness.report() == witness.report()
 
     def test_ts_regression_restarts_window_clock(self):
         """A campaign's next drill restarts virtual time at 0 mid-stream."""
@@ -364,6 +411,35 @@ class TestEngineStream:
         engine.ingest({"name": "txn.block", "ts": 2.0, "txn": 2, "cls": "ro"})
         assert engine.windows_closed == closed
         assert len(engine.breaches) == 1
+
+
+class TestSignalCatalogue:
+    def test_docs_signal_table_lists_every_routed_signal(self):
+        """``docs/slo.md``'s signal table names exactly the signals the
+        route table and the pairing handlers can emit."""
+        from pathlib import Path
+
+        from repro.obs.slo.engine import SIGNALS
+
+        doc = Path(__file__).resolve().parents[2] / "docs" / "slo.md"
+        lines = doc.read_text().splitlines()
+        start = lines.index("| signal | derived from |") + 2
+        documented = set()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        assert documented == set(SIGNALS)
+
+    def test_unsubscribed_events_are_routed_to_nothing(self):
+        engine = SLOEngine([MaxObjective("lag", "vc.lag", ceiling=10.0)], window=10.0)
+        for name in ("vc.advance", "gc.sweep", "lock.block", "span.start"):
+            engine.ingest({"name": name, "ts": 1.0, "lag": 1, "txn": 1})
+        assert engine._handlers["vc.advance"] is not None
+        assert engine._handlers["gc.sweep"] is None
+        assert engine._handlers["lock.block"] is None  # no lock.wait_depth objective
+        assert engine._handlers["span.start"] is None
+        assert engine.events_seen == 4
 
 
 class TestDeterminism:

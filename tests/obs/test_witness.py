@@ -14,12 +14,15 @@ checker's equal (see ``docs/witness.md``):
   window, not run length.
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.histories import History, check_one_copy_serializable
 from repro.histories.recorder import RO_ID_OFFSET
+from repro.obs.tracer import TraceEvent
 from repro.obs.witness import IncrementalTopology, WitnessEngine, witness_history
 
 
@@ -121,11 +124,16 @@ class TestIncrementalTopology:
 # -- synthetic event streams -------------------------------------------------------
 
 
+def emit(engine, name, ts, fields):
+    """Hand one event to the engine the way the tracer does."""
+    engine.export(TraceEvent(name, ts, fields))
+
+
 def feed(engine, *events):
     ts = engine._last_ts  # stay monotone across calls (no seam rollover)
     for name, fields in events:
         ts += 1.0
-        engine._process(name, ts, fields)
+        emit(engine, name, ts, fields)
     return engine
 
 
@@ -288,15 +296,16 @@ def watermarked_writer_stream(engine, n, *, keys=4):
     ts = 0.0
     for tn in range(1, n + 1):
         ts += 1.0
-        engine._process("history.begin", ts, {"txn": tn, "cls": "rw"})
-        engine._process(
-            "history.read", ts, {"txn": tn, "key": f"k{tn % keys}", "version": max(0, tn - keys)}
+        emit(engine, "history.begin", ts, {"txn": tn, "cls": "rw"})
+        emit(
+            engine, "history.read", ts,
+            {"txn": tn, "key": f"k{tn % keys}", "version": max(0, tn - keys)},
         )
-        engine._process("history.write", ts, {"txn": tn, "key": f"k{tn % keys}"})
-        engine._process(
-            "history.commit", ts, {"txn": tn, "ident": tn, "tn": tn, "cls": "rw"}
+        emit(engine, "history.write", ts, {"txn": tn, "key": f"k{tn % keys}"})
+        emit(
+            engine, "history.commit", ts, {"txn": tn, "ident": tn, "tn": tn, "cls": "rw"}
         )
-        engine._process("vc.advance", ts, {"number": tn, "tnc": tn + 1, "vtnc": tn})
+        emit(engine, "vc.advance", ts, {"number": tn, "tnc": tn + 1, "vtnc": tn})
 
 
 class TestSealing:
@@ -332,10 +341,10 @@ class TestSealing:
         engine = WitnessEngine(seal=True)
         watermarked_writer_stream(engine, 50, keys=1)
         ro = RO_ID_OFFSET + 99
-        engine._process("history.begin", 1000.0, {"txn": 99, "cls": "ro"})
-        engine._process("history.read", 1001.0, {"txn": 99, "key": "k0", "version": 1})
-        engine._process(
-            "history.commit", 1002.0,
+        emit(engine, "history.begin", 1000.0, {"txn": 99, "cls": "ro"})
+        emit(engine, "history.read", 1001.0, {"txn": 99, "key": "k0", "version": 1})
+        emit(
+            engine, "history.commit", 1002.0,
             {"txn": 99, "ident": ro, "tn": None, "cls": "ro"},
         )
         engine.finish()
@@ -346,16 +355,49 @@ class TestSealing:
     def test_live_reader_blocks_sealing_of_its_version(self):
         engine = WitnessEngine(seal=True)
         # A reader holds version 1 of k0 open across the whole stream.
-        engine._process("history.begin", 0.5, {"txn": 999, "cls": "ro"})
+        emit(engine, "history.begin", 0.5, {"txn": 999, "cls": "ro"})
         watermarked_writer_stream(engine, 60, keys=1)
-        engine._process("history.read", 100.0, {"txn": 999, "key": "k0", "version": 1})
+        emit(engine, "history.read", 100.0, {"txn": 999, "key": "k0", "version": 1})
         ro = RO_ID_OFFSET + 999
-        engine._process(
-            "history.commit", 101.0, {"txn": 999, "ident": ro, "tn": None, "cls": "ro"}
+        emit(
+            engine, "history.commit", 101.0,
+            {"txn": 999, "ident": ro, "tn": None, "cls": "ro"},
         )
         engine.finish()
         assert engine.ok
         assert engine.late_sealed_reads == 0
+
+    @pytest.mark.parametrize(
+        "advance, site",
+        [("vc.advance", {}), ("dvc.advance", {"site": 0})],
+    )
+    def test_floor_rising_alone_prunes_a_superseded_version(self, advance, site):
+        # Two writers of x; when the second commits, the floor only covers
+        # the first, so nothing is pruned.  The floor then rises through a
+        # watermark event alone — no new write to x — and the next seal
+        # pass must still reclaim the older version.
+        engine = WitnessEngine(seal=True)
+        with audited_prune_pass():
+            emit(engine, advance, 0.5, {**site, "tnc": 1, "vtnc": 0})
+            commit_rw(engine, 1, 1, writes=["x"])
+            emit(engine, advance, engine._last_ts + 1, {**site, "tnc": 2, "vtnc": 1})
+            commit_rw(engine, 2, 2, writes=["x"])
+            assert engine._writers["x"] == [1, 2]
+            assert engine.pruned == 0
+            emit(engine, advance, engine._last_ts + 1, {**site, "tnc": 3, "vtnc": 2})
+            # A read-only commit runs the next seal pass.
+            feed(
+                engine,
+                ("history.begin", {"txn": 50, "cls": "ro"}),
+                (
+                    "history.commit",
+                    {"txn": 50, "ident": RO_ID_OFFSET + 50, "tn": None, "cls": "ro"},
+                ),
+            )
+        assert engine._writers["x"] == [2]
+        assert "x" not in engine._multi_version
+        assert engine.pruned == 1
+        assert engine.ok
 
 
 class TestFailoverRebase:
@@ -363,8 +405,8 @@ class TestFailoverRebase:
         watermarked_writer_stream(engine, 3)
         # Replicas acked through tn=3; the deposed primary then commits
         # 4 and 5 which never ship.
-        engine._process(
-            "replica.watermark", engine._last_ts + 1, {"replica": "r1", "vtnc": 3}
+        emit(
+            engine, "replica.watermark", engine._last_ts + 1, {"replica": "r1", "vtnc": 3}
         )
         commit_rw(engine, 4, 4, writes=["k0"])
         commit_rw(engine, 5, 5, writes=["k1"])
@@ -372,8 +414,8 @@ class TestFailoverRebase:
     def test_lost_suffix_dropped_and_counters_clamped(self):
         engine = WitnessEngine(seal=True)
         self._pre_failover(engine)
-        engine._process(
-            "replica.promote", engine._last_ts + 1, {"replica": "r1", "vtnc": 3}
+        emit(
+            engine, "replica.promote", engine._last_ts + 1, {"replica": "r1", "vtnc": 3}
         )
         assert engine.rebases == 1
         assert engine.lost_commits == 2
@@ -381,6 +423,21 @@ class TestFailoverRebase:
         # no phantom cycle.
         commit_rw(engine, 104, 4, reads=[("k0", 3)], writes=["k0"])
         commit_rw(engine, 105, 5, reads=[("k0", 4)], writes=["k1"])
+        engine.finish()
+        assert engine.ok
+
+    def test_rebase_keeps_prune_candidates_exact(self):
+        engine = WitnessEngine(seal=True)
+        with audited_prune_pass():
+            self._pre_failover(engine)
+            commit_rw(engine, 6, 6, writes=["k1"])
+            assert "k1" in engine._multi_version
+            emit(
+                engine, "replica.promote", engine._last_ts + 1,
+                {"replica": "r1", "vtnc": 3},
+            )
+            audit_prune_candidates(engine)
+            commit_rw(engine, 104, 4, reads=[("k0", 3)], writes=["k0", "k1"])
         engine.finish()
         assert engine.ok
 
@@ -426,7 +483,7 @@ class TestTraceSeams:
             ("history.commit", {"txn": 2, "ident": 2, "tn": 2, "cls": "rw"}),
         ]
         for ts, (name, fields) in enumerate(skew, start=1):
-            engine._process(name, float(ts), fields)
+            emit(engine, name, float(ts), fields)
         engine.finish()
         assert engine.segments == 2
         assert not engine.serializable and not engine.ok
@@ -541,13 +598,34 @@ def test_property_witness_matches_offline_checker(history):
     )
 
 
+def audit_prune_candidates(engine):
+    """The prune pass visits only ``_multi_version``: it must hold exactly
+    the keys with two or more readable writers."""
+    multi = {key for key, writers in engine._writers.items() if len(writers) >= 2}
+    assert engine._multi_version == multi
+
+
+def audited_prune_pass():
+    """Patch ``_prune_pass`` to audit the candidate set around every call."""
+    prune = WitnessEngine._prune_pass
+
+    def audited(engine, floor):
+        audit_prune_candidates(engine)
+        prune(engine, floor)
+        audit_prune_candidates(engine)
+
+    return patch.object(WitnessEngine, "_prune_pass", audited)
+
+
 @settings(max_examples=200, deadline=None)
 @given(history=small_mv_history())
 def test_property_sealing_matches_or_declares_taint(history):
     """Sealed mode either reproduces the exact verdict or raises the
     tripwire — it may never silently certify a non-1SR history."""
     offline = check_one_copy_serializable(history)
-    engine = witness_history(history, seal=True)
+    with audited_prune_pass():
+        engine = witness_history(history, seal=True)
+    audit_prune_candidates(engine)
     if engine.late_sealed_reads == 0:
         assert engine.serializable == offline.serializable
     else:
